@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from graf import __version__
@@ -42,7 +43,7 @@ from graf.enumerator import (
     verify_ball_size,
 )
 from graf.field import SEED_MAX, read_matrix_csv, sample_cost_matrix
-from graf.montecarlo import EstimateReport, derive_seed, estimate, ratio_table
+from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
 from graf.serialize import atomic_write_text, fmt, to_csv_text, to_json_text
 from graf.solvers import (
     greedy_assignment,
@@ -62,77 +63,47 @@ _USAGE_EXIT = 2
 _FAILURE_EXIT = 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _checked(kind: type, ok, rule: str):
+    """Converter that parses ``text`` with ``kind`` (int or float) and
+    requires ``ok(value)``; ``rule`` formats the range error from ``value``
+    and ``text``.  argparse prefixes each error with the flag's name."""
+    noun = "an integer" if kind is int else "a number"
 
-
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _unit_open(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _int_list(minimum: int, maximum: int | None = None):
-    def convert(text: str) -> list[int]:
-        values = []
-        for part in text.split(","):
-            try:
-                value = int(part)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"not an integer: {part!r}")
-            if value < minimum or (maximum is not None and value > maximum):
-                bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-                raise argparse.ArgumentTypeError(f"each value must be {bound}, got {value}")
-            values.append(value)
-        if not values:
-            raise argparse.ArgumentTypeError("list must not be empty")
-        return values
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule.format(value=value, text=text))
+        return value
 
     return convert
 
 
-def _unit_list(text: str) -> list[float]:
-    return [_unit_open(part) for part in text.split(",")]
+def _comma_list(convert):
+    return lambda text: [convert(part) for part in text.split(",")]
 
 
-# Per-subcommand registry of config-file keys: name -> "value" or "flag".
-_CONFIG_KEYS: dict[str, dict[str, str]] = {}
+_positive_int = _checked(int, lambda v: v >= 1, "must be positive, got {value}")
+_seed_value = _checked(
+    int, lambda v: 0 <= v <= SEED_MAX, "seed must fit in an unsigned 64-bit integer"
+)
+_positive_float = _checked(float, lambda v: v > 0.0, "must be positive, got {text}")
+_unit_list = _comma_list(
+    _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1, got {text}")
+)
 
 
-def _arg(sub: argparse.ArgumentParser, command: str, name: str, **kwargs) -> None:
-    registry = _CONFIG_KEYS.setdefault(command, {})
-    registry[name] = "flag" if kwargs.get("action") == "store_true" else "value"
-    sub.add_argument(f"--{name}", **kwargs)
+def _int_list(minimum: int, maximum: int | None = None):
+    bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+    return _comma_list(
+        _checked(
+            int,
+            lambda v: v >= minimum and (maximum is None or v <= maximum),
+            f"each value must be {bound}, got {{value}}",
+        )
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,60 +114,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"graf {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    solve = subs.add_parser("solve", help="solve one cost matrix")
-    _arg(solve, "solve", "input", required=True, help="cost matrix CSV")
-    _arg(
-        solve,
-        "solve",
-        "method",
-        choices=("brute", "exact", "greedy", "min"),
-        default="exact",
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # Flags are spelled in full, as config-file keys are.
+        return subs.add_parser(name, help=summary, allow_abbrev=False)
+
+    solve = command("solve", "solve one cost matrix")
+    solve.add_argument("--input", required=True, help="cost matrix CSV")
+    solve.add_argument(
+        "--method", choices=("brute", "exact", "greedy", "min"), default="exact"
     )
 
-    bounds = subs.add_parser("bounds", help="closed-form bound table")
-    _arg(bounds, "bounds", "n-list", dest="n_list", type=_int_list(1), required=True)
-    _arg(bounds, "bounds", "eps", type=_unit_list, default=[])
-    _arg(bounds, "bounds", "delta", type=_unit_list, default=[])
-    _arg(bounds, "bounds", "c-small", dest="c_small", type=_positive_float, default=1.0)
-    _arg(bounds, "bounds", "c-large", dest="c_large", type=_positive_float, default=1.0)
+    bounds = command("bounds", "closed-form bound table")
+    bounds.add_argument("--n-list", type=_int_list(1), required=True)
+    bounds.add_argument("--eps", type=_unit_list, default=[])
+    bounds.add_argument("--delta", type=_unit_list, default=[])
+    bounds.add_argument("--c-small", type=_positive_float, default=1.0)
+    bounds.add_argument("--c-large", type=_positive_float, default=1.0)
 
-    est = subs.add_parser("estimate", help="replicated moment estimates")
-    _arg(est, "estimate", "n", type=_positive_int, required=True)
-    _arg(est, "estimate", "reps", type=_positive_int, required=True)
-    _arg(est, "estimate", "seed", type=_seed_value, required=True)
-    _arg(est, "estimate", "format", choices=("json", "csv"), default="json")
+    est = command("estimate", "replicated moment estimates")
+    est.add_argument("--n", type=_positive_int, required=True)
+    est.add_argument("--reps", type=_positive_int, required=True)
+    est.add_argument("--seed", type=_seed_value, required=True)
+    est.add_argument("--format", choices=("json", "csv"), default="json")
 
-    ratio = subs.add_parser("ratio-table", help="ratio convergence table")
-    _arg(ratio, "ratio-table", "n-list", dest="n_list", type=_int_list(2), required=True)
-    _arg(ratio, "ratio-table", "reps", type=_positive_int, required=True)
-    _arg(ratio, "ratio-table", "seed", type=_seed_value, required=True)
+    ratio = command("ratio-table", "ratio convergence table")
+    ratio.add_argument("--n-list", type=_int_list(2), required=True)
+    ratio.add_argument("--reps", type=_positive_int, required=True)
+    ratio.add_argument("--seed", type=_seed_value, required=True)
 
-    nearmax = subs.add_parser("nearmax", help="near-maximal set dimension study")
-    _arg(nearmax, "nearmax", "n", type=_int_list(2, ENUM_N_MAX), required=True)
-    _arg(nearmax, "nearmax", "eps", type=_unit_list, required=True)
-    _arg(nearmax, "nearmax", "reps", type=_positive_int, required=True)
-    _arg(nearmax, "nearmax", "seed", type=_seed_value, required=True)
-    _arg(nearmax, "nearmax", "m-reps", dest="m_reps", type=_positive_int, default=100_000)
-    _arg(nearmax, "nearmax", "c-small", dest="c_small", type=_positive_float, default=1.0)
-    _arg(nearmax, "nearmax", "c-large", dest="c_large", type=_positive_float, default=1.0)
-    _arg(nearmax, "nearmax", "sensitivity", action="store_true")
+    nearmax = command("nearmax", "near-maximal set dimension study")
+    nearmax.add_argument("--n", type=_int_list(2, ENUM_N_MAX), required=True)
+    nearmax.add_argument("--eps", type=_unit_list, required=True)
+    nearmax.add_argument("--reps", type=_positive_int, required=True)
+    nearmax.add_argument("--seed", type=_seed_value, required=True)
+    nearmax.add_argument("--m-reps", type=_positive_int, default=100_000)
+    nearmax.add_argument("--c-small", type=_positive_float, default=1.0)
+    nearmax.add_argument("--c-large", type=_positive_float, default=1.0)
+    nearmax.add_argument("--sensitivity", action="store_true")
 
-    enum = subs.add_parser("enumerate", help="list every assignment's field value")
-    _arg(enum, "enumerate", "input", required=True, help="cost matrix CSV")
+    enum = command("enumerate", "list every assignment's field value")
+    enum.add_argument("--input", required=True, help="cost matrix CSV")
 
-    verify = subs.add_parser("verify", help="enumeration-vs-formula checks")
-    _arg(verify, "verify", "n", type=_int_list(2, HISTOGRAM_N_MAX), required=True)
-    _arg(verify, "verify", "delta", type=_unit_list, required=True)
-    _arg(verify, "verify", "seed", type=_seed_value, default=0)
+    verify = command("verify", "enumeration-vs-formula checks")
+    verify.add_argument("--n", type=_int_list(2, HISTOGRAM_N_MAX), required=True)
+    verify.add_argument("--delta", type=_unit_list, required=True)
+    verify.add_argument("--seed", type=_seed_value, default=0)
 
     for name, sub in subs.choices.items():
-        _arg(sub, name, "config", default=None, help="key=value file; flags win")
-        _arg(sub, name, "out", default=None, help="output path (stdout if omitted)")
+        sub.add_argument("--config", default=None, help="key=value file; flags win")
+        sub.add_argument("--out", default=None, help="output path (stdout if omitted)")
         if name in ("estimate", "ratio-table", "nearmax"):
-            _arg(
-                sub,
-                name,
-                "workers",
+            sub.add_argument(
+                "--workers",
                 type=_positive_int,
                 default=os.cpu_count() or 1,
                 help="replication worker count (results do not depend on it)",
@@ -204,13 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Map each subcommand name to its parser."""
+    (subs,) = parser._subparsers._group_actions
+    return subs.choices
+
+
 class UsageError(Exception):
     pass
 
 
-def _config_tokens(path: str, command: str) -> list[str]:
-    """Turn a flat key=value file into CLI tokens for ``command``."""
-    registry = _CONFIG_KEYS[command]
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """Turn a flat key=value file into CLI tokens for ``sub``: key ``k`` is
+    valid when ``sub`` has the option ``--k``, and takes true/false when
+    that option takes no value."""
     tokens: list[str] = []
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -225,9 +201,10 @@ def _config_tokens(path: str, command: str) -> list[str]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key == "config" or key not in registry:
+        action = sub._option_string_actions.get(f"--{key}")
+        if key in ("config", "help") or action is None:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if registry[key] == "flag":
+        if action.nargs == 0:
             if value.lower() not in ("true", "false"):
                 raise UsageError(f"{path}:{lineno}: flag {key!r} must be true or false")
             if value.lower() == "true":
@@ -237,51 +214,23 @@ def _config_tokens(path: str, command: str) -> list[str]:
     return tokens
 
 
-def _merge_config(argv: list[str]) -> list[str]:
-    """Insert config-file tokens right after the subcommand so explicit
-    flags, which come later, win."""
-    subcommand = None
-    sub_index = -1
-    for i, token in enumerate(argv):
-        if not token.startswith("-"):
-            subcommand = token
-            sub_index = i
-            break
-    if subcommand is None or subcommand not in _CONFIG_KEYS:
-        return argv
-    path = None
-    rest = argv[sub_index + 1 :]
-    for i, token in enumerate(rest):
-        if token == "--config" and i + 1 < len(rest):
-            path = rest[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return argv
-    return argv[: sub_index + 1] + _config_tokens(path, subcommand) + rest
-
-
-class RunConfig:
-    """Validated invocation: subcommand plus its flag values."""
-
-    def __init__(self, subcommand: str, options: dict[str, object]):
-        self.subcommand = subcommand
-        self.options = options
-
-    def __getattr__(self, name: str) -> object:
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name)
-
-
-def parse_args(argv: list[str]) -> RunConfig:
-    """Parse (and config-merge) command-line arguments into a RunConfig."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse command-line arguments.  A ``--config`` file's tokens are
+    spliced in right after the subcommand, so explicit flags, which come
+    later, win."""
     parser = build_parser()
-    namespace = parser.parse_args(_merge_config(list(argv)))
-    options = vars(namespace).copy()
-    subcommand = options.pop("subcommand")
-    return RunConfig(subcommand, options)
+    argv = list(argv)
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    sub = _subcommands(parser).get(argv[at]) if at < len(argv) else None
+    path = None
+    for i in range(at + 1, len(argv)):
+        if argv[i] == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        elif argv[i].startswith("--config="):
+            path = argv[i].split("=", 1)[1]
+    if sub is not None and path is not None:
+        argv[at + 1 : at + 1] = _config_tokens(path, sub)
+    return parser.parse_args(argv)
 
 
 def _write_output(out: str | None, text: str) -> None:
@@ -292,25 +241,11 @@ def _write_output(out: str | None, text: str) -> None:
 
 
 def _report_to_json(report: EstimateReport) -> dict:
-    def summary(s) -> dict:
-        return {
-            "mean": s.mean,
-            "variance": s.variance,
-            "mean_std_error": s.mean_std_error,
-            "variance_std_error": s.variance_std_error,
-        }
-
     return {
         "n": report.n,
         "replications": report.replications,
         "master_seed": report.master_seed,
-        "statistics": {
-            "max_value": summary(report.max_value),
-            "min_value": summary(report.min_value),
-            "greedy_value": summary(report.greedy_value),
-            "field_mean": summary(report.field_mean),
-            "residual_max": summary(report.residual_max),
-        },
+        "statistics": {key: asdict(getattr(report, key)) for key in STAT_KEYS},
         "ratio": report.ratio,
         "ratio_std_error": report.ratio_std_error,
         "cov_field_mean_residual": report.cov_field_mean_residual,
@@ -362,7 +297,7 @@ def _ratio_rows(reports: list[EstimateReport]) -> list[list[object]]:
     return rows
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(config: argparse.Namespace) -> int:
     matrix = read_matrix_csv(config.input)
     solver = {
         "brute": solve_max_bruteforce,
@@ -382,7 +317,7 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_bounds(config: RunConfig) -> int:
+def _cmd_bounds(config: argparse.Namespace) -> int:
     header = ["n", "upper_E", "trivial_upper_E", "greedy_lower_E", "var_lower"]
     for eps in config.eps:
         header.append(f"nearmax_eps_{format(eps, 'g')}")
@@ -416,7 +351,7 @@ def _cmd_bounds(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_estimate(config: RunConfig) -> int:
+def _cmd_estimate(config: argparse.Namespace) -> int:
     report = estimate(config.n, config.reps, config.seed, workers=config.workers)
     if config.format == "json":
         text = to_json_text(_report_to_json(report))
@@ -426,7 +361,7 @@ def _cmd_estimate(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_ratio_table(config: RunConfig) -> int:
+def _cmd_ratio_table(config: argparse.Namespace) -> int:
     reports = ratio_table(config.n_list, config.reps, config.seed, workers=config.workers)
     _write_output(config.out, to_csv_text(_RATIO_COLUMNS, _ratio_rows(reports)))
     return 0
@@ -447,7 +382,7 @@ _NEARMAX_COLUMNS = [
 ]
 
 
-def _cmd_nearmax(config: RunConfig) -> int:
+def _cmd_nearmax(config: argparse.Namespace) -> int:
     rows = nearmax_table(
         config.n,
         config.eps,
@@ -479,14 +414,14 @@ def _cmd_nearmax(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
+def _cmd_enumerate(config: argparse.Namespace) -> int:
     matrix = read_matrix_csv(config.input)
     rows = [[perm.to_text(), value] for perm, value in enumerate_field(matrix)]
     _write_output(config.out, to_csv_text(["permutation", "field_value"], rows))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     lines: list[str] = []
     failed = False
 
@@ -550,8 +485,8 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration to its subcommand."""
+def run(config: argparse.Namespace) -> int:
+    """Dispatch parsed arguments to their subcommand."""
     return _COMMANDS[config.subcommand](config)
 
 
@@ -586,15 +521,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"graf: error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
-    if status == 0 and config.options.get("out") is not None:
+    if status == 0 and config.out is not None:
         manifest = {
             "tool": "graf",
             "version": __version__,
             "subcommand": config.subcommand,
             "config": {
-                key: list(value) if isinstance(value, list) else value
-                for key, value in sorted(config.options.items())
-                if key != "config"
+                key: value
+                for key, value in sorted(vars(config).items())
+                if key not in ("config", "subcommand")
             },
             "elapsed_seconds": time.monotonic() - started,
         }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -262,19 +263,19 @@ class EstimateReport:
     greedy_violations: int
 
 
-_STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
+STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
 
 @dataclass
 class _BlockAccum:
     stats: dict[str, RunningStats] = dataclass_field(
-        default_factory=lambda: {key: RunningStats() for key in _STAT_KEYS}
+        default_factory=lambda: {key: RunningStats() for key in STAT_KEYS}
     )
     cov: RunningCovariance = dataclass_field(default_factory=RunningCovariance)
     greedy_violations: int = 0
 
     def push(self, sample: FieldSample) -> None:
-        for key in _STAT_KEYS:
+        for key in STAT_KEYS:
             self.stats[key].push(getattr(sample, key))
         self.cov.push(sample.field_mean, sample.residual_max)
         if sample.greedy_value > sample.max_value:
@@ -282,7 +283,7 @@ class _BlockAccum:
 
     def merge(self, other: "_BlockAccum") -> "_BlockAccum":
         return _BlockAccum(
-            stats={key: merge_stats(self.stats[key], other.stats[key]) for key in _STAT_KEYS},
+            stats={key: merge_stats(self.stats[key], other.stats[key]) for key in STAT_KEYS},
             cov=self.cov.merge(other.cov),
             greedy_violations=self.greedy_violations + other.greedy_violations,
         )
@@ -303,7 +304,8 @@ def estimate(
 
     Replication ``k`` uses ``derive_seed(master_seed, k)``.  Replications
     are processed in fixed blocks of :data:`BLOCK_REPLICATIONS` merged in
-    block order, so the report does not depend on ``workers``.
+    block order, so the report does not depend on ``workers``.  The pool
+    holds at most one process per block and per core.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -313,6 +315,9 @@ def estimate(
         (n, master_seed, start, min(start + BLOCK_REPLICATIONS, replications))
         for start in range(0, replications, BLOCK_REPLICATIONS)
     ]
+    # More processes than blocks or cores cannot help, and the pool starts
+    # all of them at the first submit.
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     logger.info(
         "estimate: n=%d replications=%d blocks=%d workers=%d",
         n,
@@ -320,7 +325,7 @@ def estimate(
         len(blocks),
         workers,
     )
-    if workers == 1 or len(blocks) == 1:
+    if workers == 1:
         accums = map(_accumulate_block, blocks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

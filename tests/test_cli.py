@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from graf.cli import main, parse_args
+from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
 from graf.field import sample_cost_matrix, write_matrix_csv
 from graf.montecarlo import estimate
@@ -86,6 +86,76 @@ class TestConfigFile:
              "--reps", "10", "--seed", "1"]
         )
         assert parsed.sensitivity is True
+
+    def test_abbreviated_config_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("format=csv\nworkers=1\n")
+        base = ["estimate", "--n", "3", "--reps", "50", "--seed", "1"]
+        assert main(base + ["--conf", str(config)]) == 2
+        for spelled in (["--config", str(config)], [f"--config={config}"]):
+            parsed = parse_args(base + spelled)
+            assert parsed.format == "csv" and parsed.workers == 1
+
+
+# A value for every long option, each different from the option's default.
+_SAMPLE_VALUES = {
+    "--input": "m.csv",
+    "--method": "greedy",
+    "--n-list": "3,4",
+    "--eps": "0.1,0.2",
+    "--delta": "0.3",
+    "--c-small": "2.5",
+    "--c-large": "0.5",
+    "--n": "3",
+    "--reps": "7",
+    "--seed": "9",
+    "--format": "csv",
+    "--m-reps": "11",
+    "--out": "x.csv",
+    "--workers": "3",
+}
+
+_SUBCOMMANDS = _subcommands(build_parser())
+
+_CONFIG_OPTIONS = [
+    (command, option)
+    for command, sub in _SUBCOMMANDS.items()
+    for option in sub._option_string_actions
+    if option.startswith("--") and option not in ("--config", "--help", "--version")
+]
+
+
+class TestConfigKeysMatchFlags:
+    @pytest.mark.parametrize(
+        "command, option", _CONFIG_OPTIONS, ids=[f"{c}:{o}" for c, o in _CONFIG_OPTIONS]
+    )
+    def test_key_parses_like_flag(self, tmp_path, command, option):
+        sub = _SUBCOMMANDS[command]
+        action = sub._option_string_actions[option]
+        base = [command]
+        for other in sub._actions:
+            if other.required and other is not action:
+                base += [other.option_strings[0], _SAMPLE_VALUES[other.option_strings[0]]]
+        if action.nargs == 0:
+            flag, line = [option], f"{option[2:]}=true"
+        else:
+            flag, line = [option, _SAMPLE_VALUES[option]], f"{option[2:]}={_SAMPLE_VALUES[option]}"
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        from_file = vars(parse_args(base + ["--config", str(config)]))
+        from_flags = vars(parse_args(base + flag))
+        assert from_file.pop("config") == str(config)
+        assert from_flags.pop("config") is None
+        assert from_file == from_flags
+        assert from_flags[action.dest] != action.default
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    @pytest.mark.parametrize("line", ["help=true", "config=x"])
+    def test_help_and_config_keys_rejected(self, tmp_path, capsys, command, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert main([command, "--config", str(config)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestSolveCommand:

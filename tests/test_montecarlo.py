@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from graf import montecarlo
 from graf.enumerator import enumerated_field_mean
 from graf.field import sample_cost_matrix
 from graf.montecarlo import (
@@ -183,6 +184,35 @@ class TestEstimate:
     def test_rejects_tiny_runs(self):
         with pytest.raises(ValueError):
             estimate(3, 1, 0)
+
+    @pytest.mark.parametrize(
+        "workers, cores, pool_size",
+        [(100_000, 8, 3), (2, 8, 2), (100_000, 2, 2), (100_000, None, None)],
+    )
+    def test_pool_capped_at_blocks_and_cores(self, monkeypatch, workers, cores, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps serially."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 10)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        report = estimate(3, 30, 8, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert report == estimate(3, 30, 8, workers=1)
 
 
 class TestRatioTable:
