@@ -8,6 +8,8 @@ Monte Carlo studies of their moments, enumerates near-maximal assignment
 sets for small ``n``, and evaluates the matching closed-form bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from graf.bounds import (
     BoundsRow,
     NearMaxBound,
@@ -56,12 +58,12 @@ from graf.field import (
     identity_permutation,
     l2_distance,
     read_matrix_csv,
+    sample_cost_entries,
     sample_cost_matrix,
     write_matrix_csv,
 )
 from graf.montecarlo import (
     EstimateReport,
-    FieldSample,
     RunningCovariance,
     RunningStats,
     StatSummary,
@@ -71,7 +73,7 @@ from graf.montecarlo import (
     ks_statistic,
     merge_stats,
     ratio_table,
-    run_replication,
+    replicate_block,
     symmetry_check,
 )
 from graf.solvers import (
@@ -84,66 +86,9 @@ from graf.solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallSizeCheck",
-    "BoundsRow",
-    "CostMatrix",
-    "DimensionSummary",
-    "EstimateReport",
-    "FieldSample",
-    "FieldValue",
-    "NearMaxBound",
-    "NearMaxReport",
-    "Permutation",
-    "RencontresTable",
-    "RunningCovariance",
-    "RunningStats",
-    "SolveResult",
-    "StatSummary",
-    "SymmetryReport",
-    "alternating_tail_identity",
-    "ball_size",
-    "ball_size_upper_bound",
-    "bounds_row",
-    "chatterjee_bound",
-    "chatterjee_bound_exact",
-    "correlation",
-    "correlation_histogram_exact",
-    "derangement_count",
-    "derive_seed",
-    "dimension_study",
-    "enumerate_field",
-    "enumerated_field_mean",
-    "estimate",
-    "expected_max_iid_gaussian",
-    "field_value",
-    "greedy_assignment",
-    "greedy_lower_bound",
-    "hamming_distance",
-    "identity_permutation",
-    "ks_statistic",
-    "l2_distance",
-    "log_factorial",
-    "mean_correlation",
-    "mean_correlation_exhaustive",
-    "merge_stats",
-    "near_maximal_set",
-    "nearmax_regime_threshold",
-    "nearmax_table",
-    "nearmax_theorem_bound",
-    "ratio_table",
-    "read_matrix_csv",
-    "rencontres_count",
-    "rencontres_proportion",
-    "run_replication",
-    "sample_cost_matrix",
-    "solve_max_bruteforce",
-    "solve_max_exact",
-    "solve_min_exact",
-    "symmetry_check",
-    "trivial_upper_bound_expected_max",
-    "upper_bound_expected_max",
-    "variance_lower_bound",
-    "verify_ball_size",
-    "write_matrix_csv",
-]
+# The public API is exactly the names imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

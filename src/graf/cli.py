@@ -86,6 +86,8 @@ def _comma_list(convert):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be positive, got {value}")
+# Moment estimates need a variance, so replication counts start at 2.
+_replications = _checked(int, lambda v: v >= 2, "must be at least 2, got {value}")
 _seed_value = _checked(
     int, lambda v: 0 <= v <= SEED_MAX, "seed must fit in an unsigned 64-bit integer"
 )
@@ -133,21 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = command("estimate", "replicated moment estimates")
     est.add_argument("--n", type=_positive_int, required=True)
-    est.add_argument("--reps", type=_positive_int, required=True)
+    est.add_argument("--reps", type=_replications, required=True)
     est.add_argument("--seed", type=_seed_value, required=True)
     est.add_argument("--format", choices=("json", "csv"), default="json")
 
     ratio = command("ratio-table", "ratio convergence table")
     ratio.add_argument("--n-list", type=_int_list(2), required=True)
-    ratio.add_argument("--reps", type=_positive_int, required=True)
+    ratio.add_argument("--reps", type=_replications, required=True)
     ratio.add_argument("--seed", type=_seed_value, required=True)
 
     nearmax = command("nearmax", "near-maximal set dimension study")
     nearmax.add_argument("--n", type=_int_list(2, ENUM_N_MAX), required=True)
     nearmax.add_argument("--eps", type=_unit_list, required=True)
-    nearmax.add_argument("--reps", type=_positive_int, required=True)
+    nearmax.add_argument("--reps", type=_replications, required=True)
     nearmax.add_argument("--seed", type=_seed_value, required=True)
-    nearmax.add_argument("--m-reps", type=_positive_int, default=100_000)
+    nearmax.add_argument("--m-reps", type=_replications, default=100_000)
     nearmax.add_argument("--c-small", type=_positive_float, default=1.0)
     nearmax.add_argument("--c-large", type=_positive_float, default=1.0)
     nearmax.add_argument("--sensitivity", action="store_true")
@@ -189,12 +191,15 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     that option takes no value."""
     tokens: list[str] = []
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}:{lineno}: non-ASCII byte at column {exc.start + 1}")
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from os import PathLike
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -120,25 +120,51 @@ class CostMatrix:
         return hash((self.n, self._entries.tobytes()))
 
 
-def sample_cost_matrix(n: int, seed: int) -> CostMatrix:
-    """Draw an ``n x n`` matrix of i.i.d. standard Gaussian costs.
+#: Matrix entries drawn per sampling pass, which bounds the sampler's
+#: scratch memory and, in the replication kernel, the matrices held at once.
+SAMPLE_CHUNK_ENTRIES = 2**16
 
-    The generator is pinned so that ``(n, seed)`` determines the matrix
-    bit-for-bit on every platform:
+
+def sample_chunk_size(n: int) -> int:
+    """Matrices of size ``n`` per sampling pass (at least one)."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
+    return max(1, SAMPLE_CHUNK_ENTRIES // (n * n))
+
+
+def sample_cost_entries(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Draw one ``n x n`` matrix of i.i.d. standard Gaussian costs per seed.
+
+    Returns a ``(len(seeds), n, n)`` array.  The generator is pinned so
+    that ``(n, seed)`` determines a matrix bit-for-bit on every platform:
 
     1. a PCG64 stream is seeded with ``seed`` (via numpy's ``SeedSequence``),
     2. the first ``n*n`` raw 64-bit outputs are mapped to uniforms through
        their top 53 bits, ``u = ((r >> 11) + 0.5) * 2**-53`` (never 0 or 1),
     3. each ``u`` goes through the inverse normal CDF (Cephes ``ndtri``),
     4. values fill the matrix row by row.
+
+    Every step is elementwise, so sampling in passes of
+    :func:`sample_chunk_size` matrices changes no bit.
     """
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    raw = np.random.PCG64(seed).random_raw(n * n)
-    u = ((np.asarray(raw, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return CostMatrix(ndtri(u).reshape(n, n))
+    step = sample_chunk_size(n)
+    for seed in seeds:
+        if not 0 <= seed <= SEED_MAX:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    out = np.empty((len(seeds), n, n))
+    raw = np.empty((min(step, len(seeds)), n * n), dtype=np.uint64)
+    for start in range(0, len(seeds), step):
+        chunk = seeds[start : start + step]
+        for row, seed in zip(raw, chunk):
+            row[:] = np.random.PCG64(seed).random_raw(n * n)
+        u = ((raw[: len(chunk)] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        ndtri(u, out=out[start : start + len(chunk)].reshape(len(chunk), n * n))
+    return out
+
+
+def sample_cost_matrix(n: int, seed: int) -> CostMatrix:
+    """The cost matrix of :func:`sample_cost_entries` for one seed."""
+    return CostMatrix(sample_cost_entries(n, [seed])[0])
 
 
 def _check_same_size(u: Permutation, v: Permutation) -> int:

@@ -6,7 +6,9 @@ maximum (the maximum minus the field mean, whose two parts are
 independent).  Statistics stream through mergeable central-moment
 accumulators, and per-replication seeds come from a pinned SplitMix64
 ladder, so results are bit-identical for a given master seed no matter how
-replications are scheduled across workers.
+replications are scheduled across workers.  One array kernel,
+:func:`replicate_block`, samples and solves every replication of
+:func:`estimate`, :func:`ratio_table` and :func:`symmetry_check`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from graf.combinatorics import log_factorial
-from graf.field import SEED_MAX, sample_cost_matrix
-from graf.solvers import greedy_assignment, solve_max_exact, solve_min_exact
+from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
+from graf.solvers import greedy_columns
 
 logger = logging.getLogger(__name__)
 
@@ -195,42 +199,6 @@ class RunningCovariance:
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One replication: solved extremes and the mean/residual split."""
-
-    n: int
-    seed: int
-    max_value: float
-    min_value: float
-    greedy_value: float
-    field_mean: float
-    residual_max: float
-
-
-def run_replication(n: int, seed: int) -> FieldSample:
-    """Sample one cost matrix and solve it.
-
-    ``field_mean`` is the average field value over all assignments, which
-    collapses to ``sum_ij c(i, j) / (n * sqrt(n))``; ``residual_max`` is the
-    maximum minus the field mean.
-    """
-    c = sample_cost_matrix(n, seed)
-    max_value = solve_max_exact(c).field_value
-    min_value = solve_min_exact(c).field_value
-    greedy_value = greedy_assignment(c).field_value
-    field_mean = float(c.entries.sum()) / (n * math.sqrt(n))
-    return FieldSample(
-        n=n,
-        seed=seed,
-        max_value=max_value,
-        min_value=min_value,
-        greedy_value=greedy_value,
-        field_mean=field_mean,
-        residual_max=max_value - field_mean,
-    )
-
-
-@dataclass(frozen=True)
 class StatSummary:
     """Mean and variance of one statistic with their standard errors."""
 
@@ -263,38 +231,52 @@ class EstimateReport:
     greedy_violations: int
 
 
+#: Columns of a :func:`replicate_block` row, in order.
 STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
 
-@dataclass
-class _BlockAccum:
-    stats: dict[str, RunningStats] = dataclass_field(
-        default_factory=lambda: {key: RunningStats() for key in STAT_KEYS}
-    )
-    cov: RunningCovariance = dataclass_field(default_factory=RunningCovariance)
-    greedy_violations: int = 0
+def replicate_block(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Sample and solve one cost matrix per seed.
 
-    def push(self, sample: FieldSample) -> None:
-        for key in STAT_KEYS:
-            self.stats[key].push(getattr(sample, key))
-        self.cov.push(sample.field_mean, sample.residual_max)
-        if sample.greedy_value > sample.max_value:
-            self.greedy_violations += 1
-
-    def merge(self, other: "_BlockAccum") -> "_BlockAccum":
-        return _BlockAccum(
-            stats={key: merge_stats(self.stats[key], other.stats[key]) for key in STAT_KEYS},
-            cov=self.cov.merge(other.cov),
-            greedy_violations=self.greedy_violations + other.greedy_violations,
+    Returns a ``(len(seeds), 5)`` array whose columns follow
+    :data:`STAT_KEYS`: the maximum, minimum and greedy field values, the
+    field mean (the average over all assignments, which collapses to
+    ``sum_ij c(i, j) / (n * sqrt(n))``) and the residual maximum (the
+    maximum minus the field mean).  Matrices are drawn and solved a
+    sampling pass at a time, so memory does not grow with the batch.
+    """
+    rows = np.empty((len(seeds), len(STAT_KEYS)))
+    root_n = math.sqrt(n)
+    step = sample_chunk_size(n)
+    for start in range(0, len(seeds), step):
+        entries = sample_cost_entries(n, seeds[start : start + step])
+        out = rows[start : start + len(entries)]
+        solved = (
+            [linear_sum_assignment(c, maximize=True)[1] for c in entries],
+            [linear_sum_assignment(c)[1] for c in entries],
+            greedy_columns(entries),
         )
+        matrix, row = np.arange(len(entries))[:, None], np.arange(n)
+        for col, columns in enumerate(solved):
+            out[:, col] = entries[matrix, row, columns].sum(axis=1) / root_n
+        out[:, 3] = entries.reshape(len(entries), n * n).sum(axis=1) / (n * root_n)
+        out[:, 4] = out[:, 0] - out[:, 3]
+    return rows
 
 
-def _accumulate_block(args: tuple[int, int, int, int]) -> _BlockAccum:
+def _accumulate_block(args: tuple[int, int, int, int]) -> tuple:
+    """Moments of replications ``start..stop-1``, pushed in order: one
+    accumulator per statistic, the field-mean/residual covariance and the
+    greedy-violation count."""
     n, master_seed, start, stop = args
-    accum = _BlockAccum()
-    for k in range(start, stop):
-        accum.push(run_replication(n, derive_seed(master_seed, k)))
-    return accum
+    rows = replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
+    stats = [RunningStats() for _ in STAT_KEYS]
+    cov = RunningCovariance()
+    for row in rows.tolist():
+        for accum, value in zip(stats, row):
+            accum.push(value)
+        cov.push(row[3], row[4])
+    return stats, cov, int((rows[:, 2] > rows[:, 0]).sum())
 
 
 def estimate(
@@ -330,26 +312,26 @@ def estimate(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             accums = iter(list(pool.map(_accumulate_block, blocks)))
-    total = _BlockAccum()
-    for accum in accums:
-        total = total.merge(accum)
+    # Merging into an empty accumulator copies, so start from block 0.
+    stats, cov, greedy_violations = next(accums)
+    for block_stats, block_cov, block_violations in accums:
+        stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
+        cov = cov.merge(block_cov)
+        greedy_violations += block_violations
+    summaries = dict(zip(STAT_KEYS, (accum.summary() for accum in stats)))
     scale = math.sqrt(2.0 * log_factorial(n))
-    max_summary = total.stats["max_value"].summary()
+    max_summary = summaries["max_value"]
     ratio = max_summary.mean / scale if scale > 0.0 else math.nan
     ratio_se = max_summary.mean_std_error / scale if scale > 0.0 else math.nan
     return EstimateReport(
         n=n,
         replications=replications,
         master_seed=master_seed,
-        max_value=max_summary,
-        min_value=total.stats["min_value"].summary(),
-        greedy_value=total.stats["greedy_value"].summary(),
-        field_mean=total.stats["field_mean"].summary(),
-        residual_max=total.stats["residual_max"].summary(),
+        **summaries,
         ratio=ratio,
         ratio_std_error=ratio_se,
-        cov_field_mean_residual=total.cov.covariance,
-        greedy_violations=total.greedy_violations,
+        cov_field_mean_residual=cov.covariance,
+        greedy_violations=greedy_violations,
     )
 
 
@@ -414,12 +396,10 @@ def symmetry_check(
     """
     if replications < 100:
         raise ValueError("symmetry check needs at least 100 replications")
-    max_values = np.empty(replications)
-    neg_min_values = np.empty(replications)
-    for k in range(replications):
-        max_values[k] = run_replication(n, derive_seed(master_seed, 0, k)).max_value
-        neg_min_values[k] = -run_replication(n, derive_seed(master_seed, 1, k)).min_value
-    statistic = ks_statistic(neg_min_values, max_values)
+    reps = range(replications)
+    maxima = replicate_block(n, [derive_seed(master_seed, 0, k) for k in reps])[:, 0]
+    minima = replicate_block(n, [derive_seed(master_seed, 1, k) for k in reps])[:, 1]
+    statistic = ks_statistic(-minima, maxima)
     critical = ks_critical_value(replications, replications, alpha)
     return SymmetryReport(
         n=n,

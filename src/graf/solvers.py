@@ -4,7 +4,8 @@
 solver (Jonker-Volgenant style with dual potentials), which handles
 real-valued costs exactly; the exhaustive solver doubles as its oracle for
 small sizes.  The greedy construction walks the rows in order and takes the
-best still-unused column, which lower-bounds the maximum.
+best still-unused column, which lower-bounds the maximum;
+``greedy_columns`` runs it on a whole batch of matrices at once.
 """
 
 from __future__ import annotations
@@ -96,3 +97,15 @@ def greedy_assignment(c: CostMatrix) -> SolveResult:
         pick = int(np.argmax(entries[i, available]))
         columns[i] = available.pop(pick)
     return _result(entries, columns)
+
+
+def greedy_columns(entries: np.ndarray) -> np.ndarray:
+    """:func:`greedy_assignment`'s columns for a ``(B, n, n)`` batch, as a
+    ``(B, n)`` array: each row step is one masked argmax over the batch."""
+    columns = np.empty(entries.shape[:2], dtype=np.intp)
+    used = np.zeros(entries.shape[:2], dtype=bool)
+    batch = np.arange(len(entries))
+    for i in range(entries.shape[1]):
+        columns[:, i] = np.where(used, -np.inf, entries[:, i]).argmax(axis=1)
+        used[batch, columns[:, i]] = True
+    return columns

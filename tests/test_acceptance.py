@@ -25,7 +25,7 @@ from graf.montecarlo import (
     derive_seed,
     estimate,
     ratio_table,
-    run_replication,
+    replicate_block,
     symmetry_check,
 )
 from graf.solvers import solve_max_bruteforce, solve_max_exact
@@ -83,12 +83,9 @@ def ratio_reports():
 
 @pytest.fixture(scope="session")
 def decomposition_samples():
-    samples = [run_replication(10, derive_seed(SEED_DECOMP, k)) for k in range(10_000)]
-    return {
-        "max": np.array([s.max_value for s in samples]),
-        "gbar": np.array([s.field_mean for s in samples]),
-        "residual": np.array([s.residual_max for s in samples]),
-    }
+    columns = replicate_block(10, [derive_seed(SEED_DECOMP, k) for k in range(10_000)]).T
+    max_value, _, _, field_mean, residual_max = np.ascontiguousarray(columns)
+    return {"max": max_value, "gbar": field_mean, "residual": residual_max}
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,38 @@ class TestParsing:
         assert main(["estimate", "--n", "4", "--reps", "10", "--seed", str(2**64)]) == 2
 
 
+# Each replication-count flag with the other flags its command requires.
+_REPLICATION_FLAGS = [
+    (["estimate", "--n", "4", "--seed", "1"], "reps"),
+    (["ratio-table", "--n-list", "3", "--seed", "1"], "reps"),
+    (["nearmax", "--n", "3", "--eps", "0.2", "--m-reps", "10", "--seed", "1"], "reps"),
+    (["nearmax", "--n", "3", "--eps", "0.2", "--reps", "10", "--seed", "1"], "m-reps"),
+]
+
+
+class TestReplicationCounts:
+    """A moment estimate needs at least two replications; fewer is a usage
+    error that names the flag, whether given on the command line or in a
+    config file."""
+
+    @pytest.mark.parametrize("base, key", _REPLICATION_FLAGS)
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_flag_below_two_is_usage_error(self, capsys, base, key, count):
+        assert main(base + [f"--{key}", count]) == 2
+        assert f"argument --{key}: must be at least 2, got {count}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, key", _REPLICATION_FLAGS)
+    def test_config_key_below_two_is_usage_error(self, tmp_path, capsys, base, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=1\n")
+        assert main(base + ["--config", str(config)]) == 2
+        assert f"argument --{key}: must be at least 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, key", _REPLICATION_FLAGS)
+    def test_two_is_accepted(self, base, key):
+        assert getattr(parse_args(base + [f"--{key}", "2"]), key.replace("-", "_")) == 2
+
+
 class TestConfigFile:
     def test_config_supplies_required_flags(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -71,6 +103,12 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("just-a-word\n")
         assert main(["estimate", "--config", str(config)]) == 2
+
+    def test_non_ascii_byte_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=4\n# caf\u00e9\nreps=20\nseed=1\n", encoding="utf-8")
+        assert main(["estimate", "--config", str(config)]) == 2
+        assert f"{config}:2: non-ASCII byte at column 6" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = tmp_path / "run.cfg"

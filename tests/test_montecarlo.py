@@ -8,8 +8,9 @@ from scipy.stats import ks_2samp
 
 from graf import montecarlo
 from graf.enumerator import enumerated_field_mean
-from graf.field import sample_cost_matrix
+from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries, sample_cost_matrix
 from graf.montecarlo import (
+    STAT_KEYS,
     RunningCovariance,
     RunningStats,
     derive_seed,
@@ -18,9 +19,10 @@ from graf.montecarlo import (
     ks_statistic,
     merge_stats,
     ratio_table,
-    run_replication,
+    replicate_block,
     symmetry_check,
 )
+from graf.solvers import greedy_assignment, solve_max_exact, solve_min_exact
 
 
 def stats_from(values) -> RunningStats:
@@ -28,6 +30,25 @@ def stats_from(values) -> RunningStats:
     for x in values:
         s.push(float(x))
     return s
+
+
+def replication(n: int, seed: int) -> dict[str, float]:
+    """One replication: a single-seed row of ``replicate_block`` by name."""
+    return dict(zip(STAT_KEYS, replicate_block(n, [seed])[0].tolist()))
+
+
+def oracle_row(n: int, seed: int) -> list[float]:
+    """A replication built from the scalar sampler and solvers."""
+    c = sample_cost_matrix(n, seed)
+    max_value = solve_max_exact(c).field_value
+    field_mean = float(c.entries.sum()) / (n * math.sqrt(n))
+    return [
+        max_value,
+        solve_min_exact(c).field_value,
+        greedy_assignment(c).field_value,
+        field_mean,
+        max_value - field_mean,
+    ]
 
 
 class TestDeriveSeed:
@@ -133,33 +154,78 @@ class TestRunningCovariance:
 
 class TestRunReplication:
     def test_degenerate_size(self):
-        s = run_replication(1, 123)
+        s = replication(1, 123)
         c = sample_cost_matrix(1, 123)
         value = float(c.entries[0, 0])
-        assert s.max_value == s.min_value == s.greedy_value == value
-        assert s.field_mean == pytest.approx(value, rel=1e-15)
-        assert s.residual_max == 0.0
+        assert s["max_value"] == s["min_value"] == s["greedy_value"] == value
+        assert s["field_mean"] == pytest.approx(value, rel=1e-15)
+        assert s["residual_max"] == 0.0
 
     def test_deterministic(self):
-        assert run_replication(5, 123) == run_replication(5, 123)
+        assert replication(5, 123) == replication(5, 123)
 
     def test_invariants(self):
-        for k in range(50):
-            s = run_replication(6, derive_seed(9, k))
-            assert s.greedy_value <= s.max_value
-            assert s.min_value <= s.field_mean <= s.max_value
-            assert s.max_value == pytest.approx(
-                s.field_mean + s.residual_max, rel=1e-12
-            )
+        rows = replicate_block(6, [derive_seed(9, k) for k in range(50)])
+        for max_value, min_value, greedy_value, field_mean, residual_max in rows:
+            assert greedy_value <= max_value
+            assert min_value <= field_mean <= max_value
+            assert max_value == pytest.approx(field_mean + residual_max, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_field_mean_matches_enumeration(self, n):
         # The closed form must equal the enumerated average over all n!
         # assignments.
         for seed in (3, 17):
-            s = run_replication(n, seed)
+            field_mean = replication(n, seed)["field_mean"]
             c = sample_cost_matrix(n, seed)
-            assert s.field_mean == pytest.approx(enumerated_field_mean(c), abs=1e-10)
+            assert field_mean == pytest.approx(enumerated_field_mean(c), abs=1e-10)
+
+
+class TestReplicateBlock:
+    """The batched kernel reproduces the scalar sampler and solvers bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.integers(0, SEED_MAX), max_size=6))
+    def test_rows_match_scalar_oracle(self, n, seeds):
+        seeds = [0, *seeds, SEED_MAX]
+        assert replicate_block(n, seeds).tolist() == [oracle_row(n, s) for s in seeds]
+
+    @settings(max_examples=3, deadline=None)
+    @given(root=st.integers(0, SEED_MAX))
+    @pytest.mark.parametrize("n, batch", [(60, 40), (257, 3)])
+    def test_batches_spanning_sampling_passes(self, n, batch, root):
+        # 60x60 matrices split a 40-seed batch across passes; a 257x257
+        # matrix fills a pass on its own.
+        assert sample_chunk_size(n) < batch
+        seeds = [derive_seed(root, k) for k in range(batch)]
+        assert replicate_block(n, seeds).tolist() == [oracle_row(n, s) for s in seeds]
+
+    def test_empty_batch(self):
+        assert replicate_block(4, []).shape == (0, len(STAT_KEYS))
+
+    def test_rejects_empty_matrix(self):
+        for kernel in (replicate_block, sample_cost_entries):
+            with pytest.raises(ValueError, match="size"):
+                kernel(0, [1])
+
+    def test_block_accumulators_push_rows_in_order(self):
+        n, master_seed, start, stop = 5, 77, 3, 260
+        stats, cov, violations = montecarlo._accumulate_block((n, master_seed, start, stop))
+        expected = [RunningStats() for _ in STAT_KEYS]
+        expected_cov = RunningCovariance()
+        for k in range(start, stop):
+            row = oracle_row(n, derive_seed(master_seed, k))
+            for accum, value in zip(expected, row):
+                accum.push(value)
+            expected_cov.push(row[3], row[4])
+        assert stats == expected
+        assert cov == expected_cov
+        assert violations == 0
+
+    @pytest.mark.parametrize("bad", [-1, SEED_MAX + 1])
+    def test_sampler_rejects_any_bad_seed(self, bad):
+        with pytest.raises(ValueError, match="64-bit"):
+            sample_cost_entries(3, [0, 5, bad, 7])
 
 
 class TestEstimate:
@@ -265,12 +331,8 @@ class TestKolmogorovSmirnov:
         # Comparing the minimum sample directly against the maximum sample
         # must fail decisively: they differ in location.
         reps = 1500
-        mins = np.array(
-            [run_replication(10, derive_seed(4, 0, k)).min_value for k in range(reps)]
-        )
-        maxes = np.array(
-            [run_replication(10, derive_seed(4, 1, k)).max_value for k in range(reps)]
-        )
+        mins = replicate_block(10, [derive_seed(4, 0, k) for k in range(reps)])[:, 1]
+        maxes = replicate_block(10, [derive_seed(4, 1, k) for k in range(reps)])[:, 0]
         assert ks_statistic(mins, maxes) > ks_critical_value(reps, reps, 0.01)
 
     def test_needs_enough_samples(self):
