@@ -40,7 +40,6 @@ from graf.enumerator import (
     DimensionSummary,
     NearMaxReport,
     correlation_histogram_exact,
-    dimension_study,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
@@ -57,6 +56,7 @@ from graf.field import (
     hamming_distance,
     identity_permutation,
     l2_distance,
+    permutation_texts,
     read_matrix_csv,
     sample_cost_entries,
     sample_cost_matrix,

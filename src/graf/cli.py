@@ -42,7 +42,7 @@ from graf.enumerator import (
     nearmax_table,
     verify_ball_size,
 )
-from graf.field import SEED_MAX, read_matrix_csv, sample_cost_matrix
+from graf.field import SEED_MAX, permutation_texts, read_matrix_csv, sample_cost_matrix
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
 from graf.serialize import atomic_write_text, fmt, to_csv_text, to_json_text
 from graf.solvers import (
@@ -372,19 +372,20 @@ def _cmd_ratio_table(config: argparse.Namespace) -> int:
     return 0
 
 
-_NEARMAX_COLUMNS = [
-    "n",
-    "eps",
-    "m_used",
-    "m_se",
-    "reps",
-    "empty_frac",
-    "mean_log_size_nonempty",
-    "se",
-    "dimension",
-    "bound_small",
-    "bound_large",
-]
+# CSV column -> DimensionSummary field, in column order.
+_NEARMAX_COLUMNS = {
+    "n": "n",
+    "eps": "epsilon",
+    "m_used": "m_used",
+    "m_se": "m_std_error",
+    "reps": "replications",
+    "empty_frac": "empty_fraction",
+    "mean_log_size_nonempty": "mean_log_size_nonempty",
+    "se": "se_log_size",
+    "dimension": "dimension",
+    "bound_small": "bound_small",
+    "bound_large": "bound_large",
+}
 
 
 def _cmd_nearmax(config: argparse.Namespace) -> int:
@@ -399,29 +400,14 @@ def _cmd_nearmax(config: argparse.Namespace) -> int:
         sensitivity=config.sensitivity,
         workers=config.workers,
     )
-    table = [
-        [
-            row.n,
-            row.epsilon,
-            row.m_used,
-            row.m_std_error,
-            row.replications,
-            row.empty_fraction,
-            row.mean_log_size_nonempty,
-            row.se_log_size,
-            row.dimension,
-            row.bound_small,
-            row.bound_large,
-        ]
-        for row in rows
-    ]
-    _write_output(config.out, to_csv_text(_NEARMAX_COLUMNS, table))
+    table = [[getattr(row, field) for field in _NEARMAX_COLUMNS.values()] for row in rows]
+    _write_output(config.out, to_csv_text(list(_NEARMAX_COLUMNS), table))
     return 0
 
 
 def _cmd_enumerate(config: argparse.Namespace) -> int:
-    matrix = read_matrix_csv(config.input)
-    rows = [[perm.to_text(), value] for perm, value in enumerate_field(matrix)]
+    perms, values = enumerate_field(read_matrix_csv(config.input))
+    rows = [[text, value] for text, value in zip(permutation_texts(perms), values.tolist())]
     _write_output(config.out, to_csv_text(["permutation", "field_value"], rows))
     return 0
 

@@ -12,7 +12,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from graf.combinatorics import (
     ball_size_upper_bound,
     in_correlation_ball,
 )
-from graf.field import CostMatrix, FieldValue, Permutation, sample_cost_matrix
+from graf.field import CostMatrix, Permutation, sample_cost_matrix
 from graf.montecarlo import derive_seed, estimate
 
 logger = logging.getLogger(__name__)
@@ -35,18 +34,16 @@ ENUM_N_MAX = 9
 HISTOGRAM_N_MAX = 8
 
 
-def enumerate_field(c: CostMatrix) -> Iterator[tuple[Permutation, FieldValue]]:
-    """Yield every assignment with its field value, in lexicographic order."""
+def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment with its field value, in lexicographic order.
+
+    Returns ``(perms, values)``: the read-only ``(n!, n)`` table of 0-based
+    column indices from :func:`perm_table` and the ``n!`` field values.
+    """
     if c.n > ENUM_N_MAX:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
-    scale = math.sqrt(c.n)
-
-    def generate() -> Iterator[tuple[Permutation, FieldValue]]:
-        for _, rows, sums in raw_sum_blocks(c.entries):
-            for row, raw in zip(rows, sums):
-                yield Permutation.from_zero_based(row), float(raw) / scale
-
-    return generate()
+    sums = np.concatenate([sums for _, _, sums in raw_sum_blocks(c.entries)])
+    return perm_table(c.n), sums / math.sqrt(c.n)
 
 
 def enumerated_field_mean(c: CostMatrix) -> float:
@@ -59,6 +56,14 @@ def enumerated_field_mean(c: CostMatrix) -> float:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
     total = math.fsum(float(sums.sum()) for _, _, sums in raw_sum_blocks(c.entries))
     return total / (math.factorial(c.n) * math.sqrt(c.n))
+
+
+def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Count, per threshold, the assignments whose raw sum is strictly above it."""
+    sizes = np.zeros(len(thresholds), dtype=np.int64)
+    for _, _, sums in raw_sum_blocks(entries):
+        sizes += (sums[np.newaxis, :] > thresholds[:, np.newaxis]).sum(axis=1)
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,7 @@ def near_maximal_set(c: CostMatrix, eps: float, m_used: float) -> NearMaxReport:
     if not math.isfinite(m_used):
         raise ValueError("plug-in mean must be finite")
     threshold = (1.0 - eps) * m_used * math.sqrt(c.n)
-    size = 0
-    for _, _, sums in raw_sum_blocks(c.entries):
-        size += int((sums > threshold).sum())
+    size = int(_sizes_above(c.entries, np.array([threshold]))[0])
     log_nfact = math.lgamma(c.n + 1)
     dimension = (math.log(size) / log_nfact) if size >= 1 and c.n >= 2 else None
     if size >= 1 and c.n == 1:
@@ -156,6 +159,10 @@ def nearmax_table(
     ``(n, 1, k)`` are enumerated; every epsilon is counted on the same
     matrices.  With ``sensitivity`` enabled, extra rows re-count the sets
     with the plug-in mean shifted by +-2 standard errors.
+
+    The paper's bound on the dimension is asymptotic with unspecified
+    constants and goes to zero only as epsilon does; at a fixed epsilon
+    the dimension is not promised to fall with ``n``.
     """
     if not n_list or not eps_list:
         raise ValueError("need at least one size and one epsilon")
@@ -176,22 +183,18 @@ def nearmax_table(
         thresholds = np.array(
             [(1.0 - eps) * (m_hat + shift * m_se) * math.sqrt(n) for eps, shift in variants]
         )
-        log_sizes = np.zeros((len(variants), replications))
-        nonempty = np.zeros((len(variants), replications), dtype=bool)
-        sizes = np.zeros(len(variants), dtype=np.int64)
+        sizes = np.zeros((len(variants), replications), dtype=np.int64)
         for k in range(replications):
             c = sample_cost_matrix(n, derive_seed(master_seed, n, 1, k))
-            sizes[:] = 0
-            for _, _, sums in raw_sum_blocks(c.entries):
-                sizes += (sums[np.newaxis, :] > thresholds[:, np.newaxis]).sum(axis=1)
-            for v in range(len(variants)):
-                if sizes[v]:
-                    log_sizes[v, k] = math.log(sizes[v])
-                    nonempty[v, k] = True
+            sizes[:, k] = _sizes_above(c.entries, thresholds)
+        # Empty sets contribute zero to the indicator-weighted log size.
+        log_sizes = np.array(
+            [[math.log(s) if s else 0.0 for s in row] for row in sizes.tolist()]
+        )
         log_nfact = math.lgamma(n + 1)
         for v, (eps, shift) in enumerate(variants):
             indicator = log_sizes[v]
-            ne = nonempty[v]
+            ne = sizes[v] > 0
             ne_count = int(ne.sum())
             cond_mean = float(indicator[ne].mean()) if ne_count else math.nan
             cond_se = (
@@ -220,36 +223,6 @@ def nearmax_table(
             )
         logger.info("near-max table: n=%d done (%d variants)", n, len(variants))
     return rows
-
-
-def dimension_study(
-    n_list: list[int],
-    eps: float,
-    replications: int,
-    master_seed: int,
-    m_reps: int = 100_000,
-    c_small: float = 1.0,
-    c_large: float = 1.0,
-    sensitivity: bool = False,
-    workers: int = 1,
-) -> list[DimensionSummary]:
-    """Expected near-maximal-set dimension per size at one epsilon.
-
-    The paper's bound on the dimension is asymptotic with unspecified
-    constants and goes to zero only as epsilon does; at a fixed epsilon
-    the dimension is not promised to fall with ``n``.
-    """
-    return nearmax_table(
-        n_list,
-        [eps],
-        replications,
-        master_seed,
-        m_reps=m_reps,
-        c_small=c_small,
-        c_large=c_large,
-        sensitivity=sensitivity,
-        workers=workers,
-    )
 
 
 def correlation_histogram_exact(

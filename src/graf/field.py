@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from os import PathLike
+from os import PathLike, fspath
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,13 @@ from scipy.special import ndtri
 FieldValue = float
 
 SEED_MAX = 2**64 - 1
+
+
+def permutation_texts(table: np.ndarray | Sequence[Sequence[int]]) -> list[str]:
+    """Text of each row of 0-based column indices (such as a permutation
+    table) in 1-based, comma-separated one-line notation: ``[1, 0, 2]``
+    becomes ``"2,1,3"``.  :meth:`Permutation.from_text` reads it back."""
+    return [",".join(map(str, row)) for row in (np.asarray(table) + 1).tolist()]
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class Permutation:
 
     def to_text(self) -> str:
         """Comma-separated one-line notation, e.g. ``"2,1,3"``."""
-        return ",".join(str(v) for v in self.mapping)
+        return permutation_texts([self.zero_based()])[0]
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -215,23 +222,47 @@ def write_matrix_csv(c: CostMatrix, target: str | PathLike[str] | IO[str]) -> No
 
 
 def read_matrix_csv(source: str | PathLike[str] | IO[str]) -> CostMatrix:
-    """Read a cost matrix written by :func:`write_matrix_csv`."""
+    """Read a cost matrix written by :func:`write_matrix_csv`.
+
+    A malformed file raises ``ValueError``; when ``source`` is a path, the
+    message starts with ``<path>:<line>:``.
+    """
     if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
+        text, name = source.read(), None  # type: ignore[union-attr]
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("# n="):
-        raise ValueError("cost matrix CSV must start with a '# n=<n>' line")
+        # Undecodable bytes become U+FFFD and are reported with their line.
+        with open(source, "r", encoding="ascii", errors="replace") as fh:
+            text, name = fh.read(), fspath(source)
+
+    def error(lineno: int, message: str) -> ValueError:
+        return ValueError(message if name is None else f"{name}:{lineno}: {message}")
+
+    lines = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        column = line.find("\ufffd") + 1
+        if column:
+            raise error(lineno, f"non-ASCII byte at column {column}")
+        if line.strip():
+            lines.append((lineno, line.strip()))
+    lineno, header = lines[0] if lines else (1, "")
+    if not header.startswith("# n="):
+        raise error(lineno, "cost matrix CSV must start with a '# n=<n>' line")
     try:
-        n = int(lines[0][4:])
-    except ValueError as exc:
-        raise ValueError(f"malformed size header: {lines[0]!r}") from exc
+        n = int(header[4:])
+    except ValueError:
+        raise error(lineno, f"malformed size header: {header!r}") from None
     rows = lines[1:]
     if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
-    entries = [[float(cell) for cell in row.split(",")] for row in rows]
-    if any(len(row) != n for row in entries):
-        raise ValueError("row length does not match declared size")
+        raise error(lines[-1][0], f"expected {n} rows, found {len(rows)}")
+    entries = []
+    for lineno, row in rows:
+        try:
+            values = [float(cell) for cell in row.split(",")]
+        except ValueError as exc:
+            raise error(lineno, str(exc)) from None
+        if len(values) != n:
+            raise error(lineno, "row length does not match declared size")
+        if not all(map(math.isfinite, values)):
+            raise error(lineno, "cost matrix entries must all be finite")
+        entries.append(values)
     return CostMatrix(entries)

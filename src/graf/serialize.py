@@ -107,6 +107,10 @@ def atomic_write_text(path: str | PathLike[str], text: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:

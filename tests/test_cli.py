@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import pytest
 
@@ -218,6 +219,20 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"# n=1\nx\n", ":2: could not convert string to float: 'x'"),
+            ("# n=1\n\u00e9\n".encode("utf-8"), ":2: non-ASCII byte at column 1"),
+        ],
+        ids=["not-a-number", "non-ascii"],
+    )
+    def test_malformed_input_names_file_and_line(self, tmp_path, capsys, data, message):
+        matrix = tmp_path / "bad.csv"
+        matrix.write_bytes(data)
+        assert main(["solve", "--input", str(matrix)]) == 1
+        assert capsys.readouterr().err == f"graf: error: {matrix}{message}\n"
+
 
 class TestBoundsCommand:
     def test_table_contents(self, tmp_path):
@@ -239,6 +254,20 @@ class TestBoundsCommand:
         assert main(["bounds", "--n-list", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("n,upper_E")
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_mode_follows_umask(self, tmp_path, capsys, umask, mode):
+        out = tmp_path / "bounds.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["bounds", "--n-list", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 class TestEstimateCommand:

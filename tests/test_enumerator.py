@@ -7,7 +7,6 @@ import pytest
 from graf.combinatorics import RencontresTable, ball_size, ball_size_upper_bound
 from graf.enumerator import (
     correlation_histogram_exact,
-    dimension_study,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
@@ -24,35 +23,36 @@ from conftest import random_permutation
 class TestEnumerateField:
     def test_two_by_two(self):
         c = CostMatrix([[1.0, 2.0], [3.0, 4.0]])
-        pairs = list(enumerate_field(c))
+        perms, values = enumerate_field(c)
         root2 = math.sqrt(2)
-        assert pairs == [
-            (Permutation((1, 2)), 5.0 / root2),
-            (Permutation((2, 1)), 5.0 / root2),
-        ]
+        assert perms.tolist() == [[0, 1], [1, 0]]
+        assert values.tolist() == [5.0 / root2, 5.0 / root2]
 
     def test_lexicographic_order_and_count(self):
         c = sample_cost_matrix(4, 3)
-        pairs = list(enumerate_field(c))
-        assert len(pairs) == 24
-        mappings = [p.mapping for p, _ in pairs]
+        perms, values = enumerate_field(c)
+        assert perms.shape == (24, 4) and values.shape == (24,)
+        mappings = [tuple(row) for row in perms.tolist()]
         assert mappings == sorted(mappings)
-        assert mappings[0] == (1, 2, 3, 4)
+        assert mappings[0] == (0, 1, 2, 3)
+        assert not perms.flags.writeable
 
     def test_values_match_direct_evaluation(self):
         c = sample_cost_matrix(5, 11)
-        for perm, value in enumerate_field(c):
+        perms, values = enumerate_field(c)
+        for row, value in zip(perms, values):
+            perm = Permutation.from_zero_based(row)
             assert value == pytest.approx(field_value(c, perm), rel=1e-12)
 
     def test_max_matches_bruteforce(self):
         c = sample_cost_matrix(3, 8)
-        best = max(value for _, value in enumerate_field(c))
+        best = enumerate_field(c)[1].max()
         assert best == pytest.approx(solve_max_bruteforce(c).field_value, abs=1e-12)
         assert best == pytest.approx(solve_max_exact(c).field_value, abs=1e-9)
 
     def test_constant_matrix(self):
         c = CostMatrix(np.ones((4, 4)))
-        assert all(value == pytest.approx(2.0, rel=1e-14) for _, value in enumerate_field(c))
+        assert all(value == pytest.approx(2.0, rel=1e-14) for value in enumerate_field(c)[1])
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestEnumeratedFieldMean:
 class TestNearMaximalSet:
     def test_counts_strictly_above_threshold(self):
         c = sample_cost_matrix(4, 5)
-        values = sorted(value for _, value in enumerate_field(c))
+        values = sorted(enumerate_field(c)[1])
         m_used = 1.0
         report = near_maximal_set(c, 0.25, m_used)
         oracle = sum(1 for v in values if v > 0.75 * m_used)
@@ -91,7 +91,7 @@ class TestNearMaximalSet:
     def test_zero_plugin_counts_positive_values(self):
         c = sample_cost_matrix(4, 12)
         report = near_maximal_set(c, 0.5, 0.0)
-        oracle = sum(1 for _, v in enumerate_field(c) if v > 0.0)
+        oracle = sum(1 for v in enumerate_field(c)[1] if v > 0.0)
         assert report.set_size == oracle
 
     def test_dimension_range(self):
@@ -164,9 +164,9 @@ class TestMeanCorrelationExhaustive:
 
 class TestDimensionStudy:
     def test_shapes_and_determinism(self):
-        rows = dimension_study([3, 4], 0.2, replications=60, master_seed=5, m_reps=400)
+        rows = nearmax_table([3, 4], [0.2], replications=60, master_seed=5, m_reps=400)
         assert [(r.n, r.epsilon) for r in rows] == [(3, 0.2), (4, 0.2)]
-        again = dimension_study([3, 4], 0.2, replications=60, master_seed=5, m_reps=400)
+        again = nearmax_table([3, 4], [0.2], replications=60, master_seed=5, m_reps=400)
         assert rows == again
         for row in rows:
             assert 0.0 <= row.empty_fraction <= 1.0
@@ -186,19 +186,19 @@ class TestDimensionStudy:
         assert low.dimension >= base.dimension >= high.dimension
 
     def test_generous_eps_gives_dimension_near_one(self):
-        rows = dimension_study([4], 0.9, replications=50, master_seed=8, m_reps=300)
+        rows = nearmax_table([4], [0.9], replications=50, master_seed=8, m_reps=300)
         assert rows[0].empty_fraction <= 0.1
         assert rows[0].dimension > 0.6
 
     def test_same_matrices_across_eps(self):
         table = nearmax_table([4], [0.1, 0.5], replications=50, master_seed=3, m_reps=300)
-        single = dimension_study([4], 0.5, replications=50, master_seed=3, m_reps=300)
+        single = nearmax_table([4], [0.5], replications=50, master_seed=3, m_reps=300)
         assert table[1] == single[0]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            dimension_study([1], 0.2, 10, 0, m_reps=100)
+            nearmax_table([1], [0.2], 10, 0, m_reps=100)
         with pytest.raises(ValueError):
-            dimension_study([4], 1.2, 10, 0, m_reps=100)
+            nearmax_table([4], [1.2], 10, 0, m_reps=100)
         with pytest.raises(ValueError):
             nearmax_table([4], [], 10, 0, m_reps=100)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from graf.field import (
     hamming_distance,
     identity_permutation,
     l2_distance,
+    permutation_texts,
     read_matrix_csv,
     sample_cost_matrix,
     write_matrix_csv,
@@ -61,6 +63,12 @@ class TestPermutation:
         assert Permutation.from_text("3,1,2") == u
         with pytest.raises(ValueError):
             Permutation.from_text("3;1;2")
+
+    def test_table_texts_match_permutation_text(self):
+        table = np.array(list(itertools.permutations(range(4))), dtype=np.int8)
+        texts = permutation_texts(table)
+        assert texts[0] == "1,2,3,4" and texts[-1] == "4,3,2,1"
+        assert texts == [Permutation.from_zero_based(row).to_text() for row in table]
 
 
 class TestCostMatrix:
@@ -221,3 +229,31 @@ class TestSerialization:
             read_matrix_csv(io.StringIO("# n=2\n1,2\n"))
         with pytest.raises(ValueError):
             read_matrix_csv(io.StringIO("# n=2\n1,2,3\n4,5,6\n"))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# n=2\n1,2\n\n3,x\n", 4, "could not convert string to float: 'x'"),
+            ("\n# n=two\n", 2, "malformed size header: '# n=two'"),
+            ("1,2\n3,4\n", 1, "must start with a '# n=<n>' line"),
+            ("", 1, "must start with a '# n=<n>' line"),
+            ("# n=2\n1,2\n", 2, "expected 2 rows, found 1"),
+            ("# n=2\n1,2\n3,4,5\n", 3, "row length does not match declared size"),
+            ("# n=2\n1,2\n3,nan\n", 3, "cost matrix entries must all be finite"),
+        ],
+        ids=["cell", "header", "no-header", "empty", "row-count", "row-length", "non-finite"],
+    )
+    def test_read_errors_name_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert message in str(info.value)
+
+    def test_read_non_ascii_names_path_line_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("# n=1\n0.5\u00e9\n".encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}:2: non-ASCII byte at column 4"

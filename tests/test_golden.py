@@ -21,7 +21,8 @@ NEARMAX_CONFIG = (
     "n=3,4\neps=0.1,0.3\nreps=30\nseed=7\nm-reps=500\nworkers=1\nsensitivity=true\n"
 )
 
-# name -> (argv with {matrix} and {config} placeholders, SHA-256 of the --out bytes)
+# name -> (argv with {matrix}, {matrix9} and {config} placeholders, SHA-256 of the
+# --out bytes); {matrix9} is the 9 x 9 matrix of seed 0.
 CLI_CASES = {
     "solve-brute": (
         ["solve", "--input", "{matrix}", "--method", "brute"],
@@ -66,6 +67,12 @@ CLI_CASES = {
         ["enumerate", "--input", "{matrix}"],
         "ecf5b9aa8aabdecbe0611619007a602bcb00f1cc3044e359f70bd91fd97032e4",
     ),
+    # 9! rows span two raw_sum_blocks blocks; same digest as the benchmark's
+    # enumerate-n9 pin.
+    "enumerate-n9": (
+        ["enumerate", "--input", "{matrix9}"],
+        "ab2471fb7bfb0595dec9ea85aa40bb2ad4990c1795a85c791705eb0a2adaa244",
+    ),
     "verify": (
         ["verify", "--n", "3,4", "--delta", "0.3,0.6", "--seed", "14"],
         "ad6e6359d0113efe9bbcbee0de500a3aa4ece45325a18bb397efde304fa38d8a",
@@ -96,10 +103,12 @@ def _sha256(data: bytes) -> str:
 def _run_case(tmp_path, argv: list[str]) -> bytes:
     matrix = tmp_path / "matrix.csv"
     write_matrix_csv(sample_cost_matrix(5, MATRIX_SEED), matrix)
+    matrix9 = tmp_path / "matrix9.csv"
+    write_matrix_csv(sample_cost_matrix(9, 0), matrix9)
     config = tmp_path / "nearmax.cfg"
     config.write_text(NEARMAX_CONFIG)
     out = tmp_path / "out"
-    argv = [arg.format(matrix=matrix, config=config) for arg in argv]
+    argv = [arg.format(matrix=matrix, matrix9=matrix9, config=config) for arg in argv]
     assert main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
 
