@@ -7,8 +7,6 @@ live here so the walk order is identical everywhere.
 
 from __future__ import annotations
 
-import itertools
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -27,11 +25,17 @@ def perm_table(n: int) -> np.ndarray:
     lexicographic row order.  Read-only and cached."""
     if not 1 <= n <= PERM_TABLE_N_MAX:
         raise ValueError(f"permutation table supports 1 <= n <= {PERM_TABLE_N_MAX}")
-    table = np.fromiter(
-        itertools.permutations(range(n)),
-        dtype=np.dtype((np.int8, n)),
-        count=math.factorial(n),
-    )
+    table = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, n + 1):
+        # Rows starting with f are the lexicographic permutations of the
+        # other values: the smaller table with every entry >= f shifted up.
+        rows = len(table)
+        grown = np.empty((size * rows, size), dtype=np.int8)
+        for first in range(size):
+            block = grown[first * rows : (first + 1) * rows]
+            block[:, 0] = first
+            block[:, 1:] = table + (table >= first)
+        table = grown
     table.flags.writeable = False
     return table
 

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -511,6 +512,10 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else _USAGE_EXIT
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"graf: error: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
+    except BrokenExecutor as exc:
+        # A pool worker died, for example killed for lack of memory.
+        print(f"graf: error: worker pool failed: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
     if status == 0 and config.out is not None:
         manifest = {

@@ -15,15 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from graf._permutations import perm_table, raw_sum_blocks
+from graf._permutations import BLOCK_ROWS, perm_table, raw_sum_blocks
 from graf.combinatorics import (
     RencontresTable,
     ball_size,
     ball_size_upper_bound,
     in_correlation_ball,
 )
-from graf.field import CostMatrix, Permutation, sample_cost_matrix
-from graf.montecarlo import derive_seed, estimate
+from graf.field import CostMatrix, Permutation, sample_cost_entries
+from graf.montecarlo import _estimate, _row_task_count, _task_pool, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,14 @@ def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     for _, _, sums in raw_sum_blocks(entries):
         sizes += (sums[np.newaxis, :] > thresholds[:, np.newaxis]).sum(axis=1)
     return sizes
+
+
+def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
+    """Near-max set sizes of matrices ``start..stop-1`` of a dimension
+    study, one row per matrix and one column per threshold."""
+    n, master_seed, thresholds, start, stop = task
+    seeds = [derive_seed(master_seed, n, 1, k) for k in range(start, stop)]
+    return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,9 @@ def nearmax_table(
     ``(n, 0)``), then ``replications`` matrices drawn under seed path
     ``(n, 1, k)`` are enumerated; every epsilon is counted on the same
     matrices.  With ``sensitivity`` enabled, extra rows re-count the sets
-    with the plug-in mean shifted by +-2 standard errors.
+    with the plug-in mean shifted by +-2 standard errors.  One worker pool
+    runs the m-pass and the counting of every size; the counts are
+    integers, so the table does not depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon
@@ -172,56 +182,67 @@ def nearmax_table(
         raise ValueError("every epsilon must lie in (0, 1)")
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    if m_reps < 2:
+        raise ValueError("need at least 2 replications")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
+    # One counting task walks about BLOCK_ROWS assignments.
+    per_task = {n: max(1, BLOCK_ROWS // math.factorial(n)) for n in n_list}
+    most_tasks = max(
+        max(_row_task_count(n, m_reps), -(-replications // per_task[n])) for n in n_list
+    )
     rows: list[DimensionSummary] = []
-    for n in n_list:
-        m_pass = estimate(n, m_reps, derive_seed(master_seed, n, 0), workers=workers)
-        m_hat = m_pass.max_value.mean
-        m_se = m_pass.max_value.mean_std_error
-        # One counting variant per (epsilon, mean shift) pair.
-        variants = [(eps, shift) for eps in eps_list for shift in shifts]
-        thresholds = np.array(
-            [(1.0 - eps) * (m_hat + shift * m_se) * math.sqrt(n) for eps, shift in variants]
-        )
-        sizes = np.zeros((len(variants), replications), dtype=np.int64)
-        for k in range(replications):
-            c = sample_cost_matrix(n, derive_seed(master_seed, n, 1, k))
-            sizes[:, k] = _sizes_above(c.entries, thresholds)
-        # Empty sets contribute zero to the indicator-weighted log size.
-        log_sizes = np.array(
-            [[math.log(s) if s else 0.0 for s in row] for row in sizes.tolist()]
-        )
-        log_nfact = math.lgamma(n + 1)
-        for v, (eps, shift) in enumerate(variants):
-            indicator = log_sizes[v]
-            ne = sizes[v] > 0
-            ne_count = int(ne.sum())
-            cond_mean = float(indicator[ne].mean()) if ne_count else math.nan
-            cond_se = (
-                float(indicator[ne].std(ddof=1) / math.sqrt(ne_count))
-                if ne_count >= 2
-                else math.nan
+    with _task_pool(workers, most_tasks) as run:
+        for n in n_list:
+            m_pass = _estimate(n, m_reps, derive_seed(master_seed, n, 0), run)
+            m_hat = m_pass.max_value.mean
+            m_se = m_pass.max_value.mean_std_error
+            # One counting variant per (epsilon, mean shift) pair.
+            variants = [(eps, shift) for eps in eps_list for shift in shifts]
+            thresholds = np.array(
+                [(1.0 - eps) * (m_hat + shift * m_se) * math.sqrt(n) for eps, shift in variants]
             )
-            rows.append(
-                DimensionSummary(
-                    n=n,
-                    epsilon=eps,
-                    m_used=m_hat + shift * m_se,
-                    m_std_error=m_se,
-                    replications=replications,
-                    empty_fraction=1.0 - ne_count / replications,
-                    mean_log_size_nonempty=cond_mean,
-                    se_log_size=cond_se,
-                    dimension=float(indicator.mean()) / log_nfact,
-                    se_dimension=float(indicator.std(ddof=1))
-                    / math.sqrt(replications)
-                    / log_nfact,
-                    bound_small=c_small * (n * math.log(n)) ** 0.75,
-                    bound_large=c_large * math.sqrt(eps) * n * math.log(n),
-                    m_shift_se=shift,
+            step = per_task[n]
+            starts = range(0, replications, step)
+            tasks = ((n, master_seed, thresholds, k, min(k + step, replications)) for k in starts)
+            counts = run(_count_matrices, tasks)
+            sizes = np.empty((len(variants), replications), dtype=np.int64)
+            for k, block in zip(starts, counts):
+                sizes[:, k : k + len(block)] = block.T
+            # Empty sets contribute zero to the indicator-weighted log size.
+            log_sizes = np.array(
+                [[math.log(s) if s else 0.0 for s in row] for row in sizes.tolist()]
+            )
+            log_nfact = math.lgamma(n + 1)
+            for v, (eps, shift) in enumerate(variants):
+                indicator = log_sizes[v]
+                ne = sizes[v] > 0
+                ne_count = int(ne.sum())
+                cond_mean = float(indicator[ne].mean()) if ne_count else math.nan
+                cond_se = (
+                    float(indicator[ne].std(ddof=1) / math.sqrt(ne_count))
+                    if ne_count >= 2
+                    else math.nan
                 )
-            )
-        logger.info("near-max table: n=%d done (%d variants)", n, len(variants))
+                rows.append(
+                    DimensionSummary(
+                        n=n,
+                        epsilon=eps,
+                        m_used=m_hat + shift * m_se,
+                        m_std_error=m_se,
+                        replications=replications,
+                        empty_fraction=1.0 - ne_count / replications,
+                        mean_log_size_nonempty=cond_mean,
+                        se_log_size=cond_se,
+                        dimension=float(indicator.mean()) / log_nfact,
+                        se_dimension=float(indicator.std(ddof=1))
+                        / math.sqrt(replications)
+                        / log_nfact,
+                        bound_small=c_small * (n * math.log(n)) ** 0.75,
+                        bound_large=c_large * math.sqrt(eps) * n * math.log(n),
+                        m_shift_se=shift,
+                    )
+                )
+            logger.info("near-max table: n=%d done (%d variants)", n, len(variants))
     return rows
 
 

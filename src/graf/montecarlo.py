@@ -8,7 +8,9 @@ accumulators, and per-replication seeds come from a pinned SplitMix64
 ladder, so results are bit-identical for a given master seed no matter how
 replications are scheduled across workers.  One array kernel,
 :func:`replicate_block`, samples and solves every replication of
-:func:`estimate`, :func:`ratio_table` and :func:`symmetry_check`.
+:func:`estimate`, :func:`ratio_table` and :func:`symmetry_check`.  One
+process pool per call computes rows a sampling pass at a time; the parent
+pushes them into the accumulators in replication order.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -264,60 +269,97 @@ def replicate_block(n: int, seeds: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def _accumulate_block(args: tuple[int, int, int, int]) -> tuple:
-    """Moments of replications ``start..stop-1``, pushed in order: one
-    accumulator per statistic, the field-mean/residual covariance and the
-    greedy-violation count."""
-    n, master_seed, start, stop = args
-    rows = replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
-    stats = [RunningStats() for _ in STAT_KEYS]
-    cov = RunningCovariance()
+def _replicate_rows(task: tuple[int, int, int, int]) -> np.ndarray:
+    """Rows of :func:`replicate_block` for replications ``start..stop-1``."""
+    n, master_seed, start, stop = task
+    return replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
+
+
+def _row_tasks(n: int, master_seed: int, replications: int):
+    """Row tasks ``(n, master_seed, start, stop)`` in replication order: one
+    sampling pass of :func:`replicate_block`, never crossing a block."""
+    step = sample_chunk_size(n)
+    for block in range(0, replications, BLOCK_REPLICATIONS):
+        stop = min(block + BLOCK_REPLICATIONS, replications)
+        for start in range(block, stop, step):
+            yield n, master_seed, start, min(start + step, stop)
+
+
+def _row_task_count(n: int, replications: int) -> int:
+    """Number of tasks :func:`_row_tasks` yields."""
+    step = sample_chunk_size(n)
+    full, rest = divmod(replications, BLOCK_REPLICATIONS)
+    return full * -(-BLOCK_REPLICATIONS // step) + -(-rest // step)
+
+
+def _push_rows(stats: list[RunningStats], cov: RunningCovariance, rows: np.ndarray) -> None:
+    """Push :func:`replicate_block` rows, in order, into one accumulator per
+    statistic and the field-mean/residual covariance."""
     for row in rows.tolist():
         for accum, value in zip(stats, row):
             accum.push(value)
         cov.push(row[3], row[4])
-    return stats, cov, int((rows[:, 2] > rows[:, 0]).sum())
 
 
-def estimate(
-    n: int, replications: int, master_seed: int, workers: int = 1
-) -> EstimateReport:
-    """Replicated moment estimates for the extremes at size ``n``.
+#: Tasks a pool worker may have submitted and not yet consumed: enough to
+#: keep it busy while the parent consumes results in order, and a bound
+#: that does not grow with the run.
+TASKS_PER_WORKER = 4
 
-    Replication ``k`` uses ``derive_seed(master_seed, k)``.  Replications
-    are processed in fixed blocks of :data:`BLOCK_REPLICATIONS` merged in
-    block order, so the report does not depend on ``workers``.  The pool
-    holds at most one process per block and per core.
+
+def _windowed_map(pool: ProcessPoolExecutor, window: int, fn, tasks) -> Iterator:
+    """``fn`` over ``tasks`` on ``pool``, in task order, with at most
+    ``window`` tasks submitted and not yet consumed."""
+    pending: deque = deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield from pending.popleft()
+        # Executor.map submits its items at the call, so this submits one task.
+        pending.append(pool.map(fn, (task,)))
+    while pending:
+        yield from pending.popleft()
+
+
+@contextmanager
+def _task_pool(workers: int, tasks: int):
+    """Yield ``run(fn, tasks)``, which maps ``fn`` over ``tasks`` and yields
+    the results in task order.
+
+    ``run`` is backed by a process pool of ``min(workers, cores, tasks)``
+    processes, or runs in this process when that is 1.  One pool serves
+    every ``run`` call inside the ``with`` block.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    blocks = [
-        (n, master_seed, start, min(start + BLOCK_REPLICATIONS, replications))
-        for start in range(0, replications, BLOCK_REPLICATIONS)
-    ]
-    # More processes than blocks or cores cannot help, and the pool starts
+    # More processes than tasks or cores cannot help, and the pool starts
     # all of them at the first submit.
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    logger.info(
-        "estimate: n=%d replications=%d blocks=%d workers=%d",
-        n,
-        replications,
-        len(blocks),
-        workers,
-    )
-    if workers == 1:
-        accums = map(_accumulate_block, blocks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            accums = iter(list(pool.map(_accumulate_block, blocks)))
-    # Merging into an empty accumulator copies, so start from block 0.
-    stats, cov, greedy_violations = next(accums)
-    for block_stats, block_cov, block_violations in accums:
-        stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
-        cov = cov.merge(block_cov)
-        greedy_violations += block_violations
+    workers = min(workers, os.cpu_count() or 1, tasks)
+    if workers <= 1:
+        yield map
+        return
+    logger.info("task pool: %d workers", workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)
+
+
+def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateReport:
+    """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
+    logger.info("estimate: n=%d replications=%d", n, replications)
+    results = run(_replicate_rows, _row_tasks(n, master_seed, replications))
+    greedy_violations = 0
+    for block in range(0, replications, BLOCK_REPLICATIONS):
+        block_stats = [RunningStats() for _ in STAT_KEYS]
+        block_cov = RunningCovariance()
+        while block_cov.count < min(BLOCK_REPLICATIONS, replications - block):
+            rows = next(results)
+            _push_rows(block_stats, block_cov, rows)
+            greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
+        # Merging into an empty accumulator copies, so start from block 0.
+        if block == 0:
+            stats, cov = block_stats, block_cov
+        else:
+            stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
+            cov = cov.merge(block_cov)
     summaries = dict(zip(STAT_KEYS, (accum.summary() for accum in stats)))
     scale = math.sqrt(2.0 * log_factorial(n))
     max_summary = summaries["max_value"]
@@ -335,6 +377,22 @@ def estimate(
     )
 
 
+def estimate(
+    n: int, replications: int, master_seed: int, workers: int = 1
+) -> EstimateReport:
+    """Replicated moment estimates for the extremes at size ``n``.
+
+    Replication ``k`` uses ``derive_seed(master_seed, k)``.  Workers
+    compute rows a sampling pass at a time; the parent pushes them in
+    replication order into fixed blocks of :data:`BLOCK_REPLICATIONS`
+    merged in block order, so the report does not depend on ``workers``.
+    """
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
+    with _task_pool(workers, _row_task_count(n, replications)) as run:
+        return _estimate(n, replications, master_seed, run)
+
+
 def ratio_table(
     n_list: list[int], replications: int, master_seed: int, workers: int = 1
 ) -> list[EstimateReport]:
@@ -342,14 +400,18 @@ def ratio_table(
     ratio mean-maximum / ``sqrt(2 log(n!))``.
 
     The estimate for size ``n`` runs under ``derive_seed(master_seed, n)``,
-    so rows are independent of each other and of the list order.
+    so rows are independent of each other and of the list order.  One
+    worker pool serves every size.
     """
     if any(n < 2 for n in n_list):
         raise ValueError("ratio table sizes must be at least 2")
-    return [
-        estimate(n, replications, derive_seed(master_seed, n), workers=workers)
-        for n in n_list
-    ]
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
+    tasks = max((_row_task_count(n, replications) for n in n_list), default=1)
+    with _task_pool(workers, tasks) as run:
+        return [
+            _estimate(n, replications, derive_seed(master_seed, n), run) for n in n_list
+        ]
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,9 +2,11 @@ import json
 import math
 import os
 import stat
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from graf import montecarlo
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
 from graf.field import sample_cost_matrix, write_matrix_csv
@@ -368,6 +370,45 @@ class TestReproducibility:
         ) == 1
         assert not out.exists()
         assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def _dying_task(task):
+    """A row task whose worker process dies without reporting back."""
+    os._exit(1)
+
+
+class TestWorkerFailure:
+    # ratio-table at n = 100 with 20 replications is 4 row tasks of 6 or fewer.
+    FLAGS = ["ratio-table", "--n-list", "100", "--reps", "20", "--seed", "1", "--workers", "2"]
+
+    def test_broken_pool_is_one_line_error(self, monkeypatch, capsys):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("A process in the process pool was terminated")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert main(self.FLAGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("graf: error: worker pool failed: A process")
+        assert err.count("\n") == 1
+
+    def test_dead_worker_process(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(montecarlo, "_replicate_rows", _dying_task)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        out = tmp_path / "ratio.csv"
+        assert main(self.FLAGS + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("graf: error: worker pool failed: ")
+        assert not out.exists()
 
 
 class TestLogging:

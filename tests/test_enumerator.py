@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from graf import enumerator, montecarlo
+from graf._permutations import perm_table
 from graf.combinatorics import RencontresTable, ball_size, ball_size_upper_bound
 from graf.enumerator import (
     correlation_histogram_exact,
@@ -57,6 +60,15 @@ class TestEnumerateField:
     def test_cap(self):
         with pytest.raises(ValueError):
             enumerate_field(CostMatrix(np.zeros((10, 10))))
+
+
+class TestPermTable:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_itertools(self, n):
+        table = perm_table(n)
+        expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert np.array_equal(table, expected.reshape(math.factorial(n), n))
 
 
 class TestEnumeratedFieldMean:
@@ -194,6 +206,20 @@ class TestDimensionStudy:
         table = nearmax_table([4], [0.1, 0.5], replications=50, master_seed=3, m_reps=300)
         single = nearmax_table([4], [0.5], replications=50, master_seed=3, m_reps=300)
         assert table[1] == single[0]
+
+    def test_worker_invariance_across_tasks(self, monkeypatch):
+        # Counting tasks of 4 matrices at n = 4 and 1 at n = 5, on a real pool.
+        monkeypatch.setattr(enumerator, "BLOCK_ROWS", 100)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        args = ([4, 5], [0.3, 0.6], 50, 17)
+        serial = nearmax_table(*args, m_reps=300, workers=1)
+        assert nearmax_table(*args, m_reps=300, workers=2) == serial
+
+    def test_one_pool_per_call(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 100)
+        rows = nearmax_table([3, 4], [0.2], 60, 5, m_reps=400, workers=2)
+        assert fake_pool.sizes == [2]
+        assert rows == nearmax_table([3, 4], [0.2], 60, 5, m_reps=400, workers=1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

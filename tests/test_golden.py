@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from graf import enumerator, montecarlo
 from graf.cli import main
 from graf.field import sample_cost_matrix, write_matrix_csv
 from graf.montecarlo import derive_seed
@@ -117,6 +118,17 @@ def _run_case(tmp_path, argv: list[str]) -> bytes:
 def test_cli_document_digest(name, tmp_path, capsys):
     argv, digest = CLI_CASES[name]
     assert _sha256(_run_case(tmp_path, argv)) == digest
+
+
+@pytest.mark.parametrize("name", ["ratio-table", "nearmax-config"])
+def test_pooled_document_digest(name, tmp_path, capsys, monkeypatch):
+    # Small row and counting tasks, so two workers share the m-pass, the
+    # counting and every size.
+    monkeypatch.setattr(montecarlo, "sample_chunk_size", lambda n: 64)
+    monkeypatch.setattr(enumerator, "BLOCK_ROWS", 100)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    argv, digest = CLI_CASES[name]
+    assert _sha256(_run_case(tmp_path, argv + ["--workers", "2"])) == digest
 
 
 @pytest.mark.parametrize("args, expected", DERIVE_SEED_CASES)

@@ -210,7 +210,9 @@ class TestReplicateBlock:
 
     def test_block_accumulators_push_rows_in_order(self):
         n, master_seed, start, stop = 5, 77, 3, 260
-        stats, cov, violations = montecarlo._accumulate_block((n, master_seed, start, stop))
+        rows = replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
+        stats, cov = [RunningStats() for _ in STAT_KEYS], RunningCovariance()
+        montecarlo._push_rows(stats, cov, rows)
         expected = [RunningStats() for _ in STAT_KEYS]
         expected_cov = RunningCovariance()
         for k in range(start, stop):
@@ -220,7 +222,6 @@ class TestReplicateBlock:
             expected_cov.push(row[3], row[4])
         assert stats == expected
         assert cov == expected_cov
-        assert violations == 0
 
     @pytest.mark.parametrize("bad", [-1, SEED_MAX + 1])
     def test_sampler_rejects_any_bad_seed(self, bad):
@@ -280,8 +281,48 @@ class TestEstimate:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert report == estimate(3, 30, 8, workers=1)
 
+    def test_worker_invariance_across_task_boundaries(self, monkeypatch):
+        # A pass of 655 rows at n = 10 does not divide a block, so row tasks
+        # end at pass boundaries and at block boundaries.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        block, n, seed = montecarlo.BLOCK_REPLICATIONS, 10, 31
+        reps = 2 * block + 700
+        serial = estimate(n, reps, seed, workers=1)
+        assert estimate(n, reps, seed, workers=2) == serial
+        # Oracle: each block's kernel rows pushed in order, blocks merged in order.
+        for start in range(0, reps, block):
+            rows = replicate_block(
+                n, [derive_seed(seed, k) for k in range(start, min(start + block, reps))]
+            )
+            block_stats = [stats_from(column) for column in rows.T]
+            block_cov = RunningCovariance()
+            for field_mean, residual in rows[:, 3:].tolist():
+                block_cov.push(field_mean, residual)
+            if start == 0:
+                stats, cov = block_stats, block_cov
+            else:
+                stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
+                cov = cov.merge(block_cov)
+        assert [getattr(serial, key) for key in STAT_KEYS] == [s.summary() for s in stats]
+        assert serial.cov_field_mean_residual == cov.covariance
+
+    def test_window_bounds_unfinished_tasks(self, fake_pool, monkeypatch):
+        # One row per task: 30 tasks through a pool of 2.
+        monkeypatch.setattr(montecarlo, "sample_chunk_size", lambda n: 1)
+        report = estimate(3, 30, 8, workers=2)
+        assert fake_pool.sizes == [2]
+        assert fake_pool.peak == 2 * montecarlo.TASKS_PER_WORKER
+        assert fake_pool.unfinished == 0
+        assert report == estimate(3, 30, 8, workers=1)
+
 
 class TestRatioTable:
+    def test_one_pool_per_call(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 100)
+        rows = ratio_table([3, 5], 400, 21, workers=2)
+        assert fake_pool.sizes == [2]
+        assert rows == ratio_table([3, 5], 400, 21, workers=1)
+
     def test_shapes_and_determinism(self):
         rows = ratio_table([3, 5], 400, 21)
         assert [r.n for r in rows] == [3, 5]
