@@ -1,8 +1,9 @@
 """Gaussian random assignment field: simulation, exact enumeration, bounds.
 
-The field assigns to every permutation ``u`` of ``{1..n}`` the normalized
-cost ``n**-0.5 * sum_i c(i, u(i))`` of the corresponding assignment, where
-the ``c(i, j)`` are independent standard Gaussian costs.  This package
+The field assigns to every assignment ``u`` (a permutation of the columns,
+held as a 0-based column array) the normalized cost
+``n**-0.5 * sum_i c(i, u[i])``, where the ``c(i, j)`` are independent
+standard Gaussian costs.  This package
 computes the maximum and minimum of the field exactly, runs reproducible
 Monte Carlo studies of their moments, enumerates near-maximal assignment
 sets for small ``n``, and evaluates the matching closed-form bounds.
@@ -14,8 +15,6 @@ from graf.bounds import (
     BoundsRow,
     NearMaxBound,
     bounds_row,
-    chatterjee_bound,
-    chatterjee_bound_exact,
     expected_max_iid_gaussian,
     greedy_lower_bound,
     nearmax_regime_threshold,
@@ -26,14 +25,11 @@ from graf.bounds import (
 )
 from graf.combinatorics import (
     RencontresTable,
-    alternating_tail_identity,
     ball_size,
     ball_size_upper_bound,
     derangement_count,
     log_factorial,
-    mean_correlation,
     rencontres_count,
-    rencontres_proportion,
 )
 from graf.enumerator import (
     BallSizeCheck,
@@ -49,13 +45,8 @@ from graf.enumerator import (
 )
 from graf.field import (
     CostMatrix,
-    FieldValue,
-    Permutation,
     correlation,
     field_value,
-    hamming_distance,
-    identity_permutation,
-    l2_distance,
     permutation_texts,
     read_matrix_csv,
     sample_cost_entries,

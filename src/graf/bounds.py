@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.special import log_ndtr
 
-from graf.combinatorics import ball_size, log_factorial
+from graf.combinatorics import log_factorial
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -70,17 +70,6 @@ def expected_max_iid_gaussian(k: int) -> float:
     with _mu_lock:
         _mu_cache.setdefault(k, float(value))
     return float(value)
-
-
-def asymptotic_max_scale(k: int) -> float:
-    """``sqrt(2 log k)``, the leading-order growth of ``mu_k``.
-
-    For ratio displays only; ``expected_max_iid_gaussian`` is the accurate
-    quantity.
-    """
-    if k < 1:
-        raise ValueError("sample count must be at least 1")
-    return math.sqrt(2.0 * math.log(k))
 
 
 def upper_bound_expected_max(n: int) -> float:
@@ -184,57 +173,3 @@ def nearmax_theorem_bound(
     if eps <= nearmax_regime_threshold(n):
         return NearMaxBound(n, eps, "small", c_small * nlogn**0.75, c_small, c_large)
     return NearMaxBound(n, eps, "large", c_large * math.sqrt(eps) * nlogn, c_small, c_large)
-
-
-def chatterjee_bound(n: int, eps: float, m: float, c: float = 1.0) -> float:
-    """Optimized near-maximal-set bound with the ball-size relaxation.
-
-    Minimizes ``delta * n * log(n) + c * max(eps * m**2, m) / delta`` over
-    ``delta`` in ``(0, 1)``: with ``K = c * max(eps * m**2, m)`` the interior
-    minimizer is ``delta* = sqrt(K / (n log n))`` with value
-    ``2 * sqrt(K * n * log(n))``; if ``delta* >= 1`` the boundary limit
-    ``n log n + K`` applies (both forms coincide at ``delta* = 1``).
-    """
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    if m <= 0.0:
-        raise ValueError("mean bound m must be positive")
-    if c <= 0.0:
-        raise ValueError("constant must be positive")
-    nlogn = n * math.log(n)
-    k_term = c * max(eps * m * m, m)
-    if nlogn == 0.0 or k_term >= nlogn:
-        return nlogn + k_term
-    return 2.0 * math.sqrt(k_term * nlogn)
-
-
-def chatterjee_bound_exact(
-    n: int,
-    eps: float,
-    m: float,
-    c: float = 1.0,
-    delta_grid: list[float] | None = None,
-) -> float:
-    """Grid variant using exact ball sizes instead of the relaxation.
-
-    ``log(ball_size(n, delta))`` is a step function of ``delta``, so the
-    infimum is taken over a grid; the default grid holds the step's right
-    endpoints ``k/n`` plus a point next to 1, which dominate any refinement.
-    Requires ``n <= 20`` (exact counting).
-    """
-    if m <= 0.0:
-        raise ValueError("mean bound m must be positive")
-    if c <= 0.0:
-        raise ValueError("constant must be positive")
-    if delta_grid is None:
-        delta_grid = [k / n for k in range(1, n)] + [1.0 - 1e-12]
-    if not delta_grid:
-        raise ValueError("delta grid must be non-empty")
-    k_term = c * max(eps * m * m, m)
-    best = math.inf
-    for delta in delta_grid:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"grid delta must lie in (0, 1), got {delta}")
-        value = math.log(ball_size(n, delta)) + k_term / delta
-        best = min(best, value)
-    return best

@@ -43,7 +43,13 @@ from graf.enumerator import (
     nearmax_table,
     verify_ball_size,
 )
-from graf.field import SEED_MAX, permutation_texts, read_matrix_csv, sample_cost_matrix
+from graf.field import (
+    SAMPLE_N_MAX,
+    SEED_MAX,
+    permutation_texts,
+    read_matrix_csv,
+    sample_cost_matrix,
+)
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
 from graf.serialize import atomic_write_text, fmt, to_csv_text, to_json_text
 from graf.solvers import (
@@ -87,6 +93,9 @@ def _comma_list(convert):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be positive, got {value}")
+_sample_size = _checked(
+    int, lambda v: 1 <= v <= SAMPLE_N_MAX, f"must lie in 1..{SAMPLE_N_MAX}, got {{value}}"
+)
 # Moment estimates need a variance, so replication counts start at 2.
 _replications = _checked(int, lambda v: v >= 2, "must be at least 2, got {value}")
 _seed_value = _checked(
@@ -135,13 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--c-large", type=_positive_float, default=1.0)
 
     est = command("estimate", "replicated moment estimates")
-    est.add_argument("--n", type=_positive_int, required=True)
+    est.add_argument("--n", type=_sample_size, required=True)
     est.add_argument("--reps", type=_replications, required=True)
     est.add_argument("--seed", type=_seed_value, required=True)
     est.add_argument("--format", choices=("json", "csv"), default="json")
 
     ratio = command("ratio-table", "ratio convergence table")
-    ratio.add_argument("--n-list", type=_int_list(2), required=True)
+    ratio.add_argument("--n-list", type=_int_list(2, SAMPLE_N_MAX), required=True)
     ratio.add_argument("--reps", type=_replications, required=True)
     ratio.add_argument("--seed", type=_seed_value, required=True)
 
@@ -315,7 +324,7 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     document = {
         "n": matrix.n,
         "method": config.method,
-        "assignment": list(result.assignment.mapping),
+        "assignment": (result.columns + 1).tolist(),
         "raw_sum": result.raw_sum,
         "field_value": result.field_value,
     }
@@ -512,6 +521,9 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else _USAGE_EXIT
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"graf: error: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
+    except MemoryError as exc:
+        print(f"graf: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return _FAILURE_EXIT
     except BrokenExecutor as exc:
         # A pool worker died, for example killed for lack of memory.

@@ -1,13 +1,11 @@
 """Exact permutation counting: rencontres numbers, correlation balls.
 
-Counts permutations by their number of agreements with a fixed reference.
-The proportion with exactly ``k`` agreements is Montmort's alternating sum
-
-    (1/k!) * sum_{l=0..n-k} (-1)**l / l!,
-
-which converges to ``exp(-1)/k!``.  Cumulating the counts above a
-correlation threshold gives the ball size ``V(n, delta)``, the number of
-permutations whose field correlation with a reference exceeds ``1 - delta``.
+Counts permutations by their number of agreements with a fixed reference:
+exactly ``k`` agreements occur in ``C(n, k) * D_{n-k}`` of them, where
+``D_m`` counts derangements, and their proportion tends to
+``exp(-1)/k!``.  Cumulating the counts above a correlation threshold gives
+the ball size ``V(n, delta)``, the number of permutations whose field
+correlation with a reference exceeds ``1 - delta``.
 """
 
 from __future__ import annotations
@@ -52,30 +50,8 @@ def rencontres_count(n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"agreement count {k} outside 0..{n}")
     if n > EXACT_N_MAX:
-        raise ValueError(
-            f"exact counts are capped at n={EXACT_N_MAX}; "
-            "use rencontres_proportion for larger sizes"
-        )
+        raise ValueError(f"exact counts are capped at n={EXACT_N_MAX}")
     return math.comb(n, k) * derangement_count(n - k)
-
-
-def rencontres_proportion(n: int, k: int) -> float:
-    """Proportion of permutations with exactly ``k`` agreements.
-
-    Exact integer count divided by ``n!`` up to ``n=20``; beyond that the
-    alternating sum is evaluated with compensated summation.
-    """
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    if not 0 <= k <= n:
-        raise ValueError(f"agreement count {k} outside 0..{n}")
-    if n <= EXACT_N_MAX:
-        return rencontres_count(n, k) / math.factorial(n)
-    inner = math.fsum((-1) ** l / math.factorial(l) for l in range(n - k + 1))
-    if k <= 170:
-        return inner / math.factorial(k)
-    # 1/k! underflows double precision far before this matters.
-    return inner * math.exp(-log_factorial(k)) if inner > 0.0 else 0.0
 
 
 def in_correlation_ball(k: int, n: int, delta: float) -> bool:
@@ -121,24 +97,6 @@ def ball_size_upper_bound(n: int, delta: float) -> float:
     return math.exp(delta * n * math.log(n))
 
 
-def alternating_tail_identity(n: int) -> float:
-    """``sum_{s=1..n} (-1)**(s-1) / s!``.
-
-    Equals the double sum ``sum_{k=1..n} (1/k!) sum_{l=0..n-k} (-1)**l / l!``
-    and is at most 1; the limit is ``1 - exp(-1)``.
-    """
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    return math.fsum((-1) ** (s - 1) / math.factorial(s) for s in range(1, n + 1))
-
-
-def mean_correlation(n: int) -> float:
-    """Average field correlation over all ordered permutation pairs: ``1/n``."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    return 1.0 / n
-
-
 @dataclass(frozen=True)
 class RencontresTable:
     """Agreement-count histogram of the symmetric group of size ``n``.
@@ -169,7 +127,3 @@ class RencontresTable:
     def for_size(cls, n: int) -> "RencontresTable":
         """Table built from the closed-form counts (n <= 20)."""
         return cls(n, tuple(rencontres_count(n, k) for k in range(n + 1)))
-
-    def proportions(self) -> tuple[float, ...]:
-        total = math.factorial(self.n)
-        return tuple(c / total for c in self.counts)

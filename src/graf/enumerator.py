@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from graf.combinatorics import (
     ball_size_upper_bound,
     in_correlation_ball,
 )
-from graf.field import CostMatrix, Permutation, sample_cost_entries
+from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import _estimate, _row_task_count, _task_pool, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -183,7 +184,7 @@ def nearmax_table(
     if replications < 2:
         raise ValueError("need at least 2 replications")
     if m_reps < 2:
-        raise ValueError("need at least 2 replications")
+        raise ValueError(f"m_reps must be at least 2, got {m_reps}")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
     # One counting task walks about BLOCK_ROWS assignments.
     per_task = {n: max(1, BLOCK_ROWS // math.factorial(n)) for n in n_list}
@@ -247,22 +248,17 @@ def nearmax_table(
 
 
 def correlation_histogram_exact(
-    n: int, reference: Permutation | None = None
+    n: int, reference: np.ndarray | Sequence[int] | None = None
 ) -> RencontresTable:
     """Exact agreement histogram of the group against a reference.
 
     Counts, for every ``k``, the permutations sharing exactly ``k``
-    positions with the reference (identity by default); the histogram does
-    not depend on the reference.
+    positions with the reference, a 0-based column array (identity by
+    default); the histogram does not depend on the reference.
     """
     if not 1 <= n <= HISTOGRAM_N_MAX:
         raise ValueError(f"exact histograms are capped at n={HISTOGRAM_N_MAX}")
-    if reference is None:
-        ref = np.arange(n, dtype=np.int8)
-    else:
-        if reference.n != n:
-            raise ValueError(f"reference has size {reference.n}, expected {n}")
-        ref = reference.zero_based().astype(np.int8)
+    ref = np.arange(n) if reference is None else _assignment(reference, n)
     agreements = (perm_table(n) == ref[np.newaxis, :]).sum(axis=1)
     counts = np.bincount(agreements, minlength=n + 1)
     return RencontresTable(n, tuple(int(x) for x in counts))
@@ -292,8 +288,7 @@ def verify_ball_size(n: int, delta: float, seed: int = 0) -> BallSizeCheck:
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, n)))
     counts = []
     for _ in range(3):
-        reference = Permutation.from_zero_based(rng.permutation(n))
-        table = correlation_histogram_exact(n, reference)
+        table = correlation_histogram_exact(n, rng.permutation(n))
         counts.append(
             sum(
                 table.counts[k]

@@ -1,27 +1,25 @@
-"""Core objects: permutations, Gaussian cost matrices, field evaluation.
+"""Gaussian cost matrices, assignments and field evaluation.
 
 A cost matrix ``c`` holds independent standard Gaussian entries ``c(i, j)``.
-An assignment is a permutation ``u`` of ``{1..n}``; its field value is
+An assignment is a permutation of the columns, held as a 0-based column
+array ``u``: row ``i`` takes column ``u[i]``.  Its field value is
 
-    g(c, u) = n**-0.5 * sum_{i=1..n} c(i, u(i)),
+    g(c, u) = n**-0.5 * sum_i c(i, u[i]),
 
 so every coordinate of the field is standard Gaussian.  The correlation
 between two coordinates is the proportion of agreeing positions, which ties
-the field's L2 geometry to the Hamming distance on permutations.
+the field's L2 geometry to the Hamming distance on permutations.  Text
+output writes assignments 1-based (:func:`permutation_texts`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from os import PathLike, fspath
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
-
-# A field coordinate is a plain real number in standard-Gaussian units.
-FieldValue = float
 
 SEED_MAX = 2**64 - 1
 
@@ -29,65 +27,19 @@ SEED_MAX = 2**64 - 1
 def permutation_texts(table: np.ndarray | Sequence[Sequence[int]]) -> list[str]:
     """Text of each row of 0-based column indices (such as a permutation
     table) in 1-based, comma-separated one-line notation: ``[1, 0, 2]``
-    becomes ``"2,1,3"``.  :meth:`Permutation.from_text` reads it back."""
+    becomes ``"2,1,3"``."""
     return [",".join(map(str, row)) for row in (np.asarray(table) + 1).tolist()]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of ``{1..n}`` in one-line notation: ``u(i) = mapping[i-1]``.
-
-    Values are 1-based at every interface; use :meth:`zero_based` for
-    array indexing.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mapping = tuple(int(v) for v in self.mapping)
-        object.__setattr__(self, "mapping", mapping)
-        n = len(mapping)
-        if n < 1:
-            raise ValueError("permutation must have size at least 1")
-        if sorted(mapping) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {mapping}")
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        """Image of position ``i`` (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position {i} outside 1..{self.n}")
-        return self.mapping[i - 1]
-
-    def zero_based(self) -> np.ndarray:
-        """Column indices as a 0-based integer array."""
-        return np.asarray(self.mapping, dtype=np.intp) - 1
-
-    @classmethod
-    def from_zero_based(cls, indices: Iterable[int]) -> "Permutation":
-        return cls(tuple(int(j) + 1 for j in indices))
-
-    def to_text(self) -> str:
-        """Comma-separated one-line notation, e.g. ``"2,1,3"``."""
-        return permutation_texts([self.zero_based()])[0]
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        try:
-            values = tuple(int(part) for part in text.strip().split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed permutation text: {text!r}") from exc
-        return cls(values)
-
-
-def identity_permutation(n: int) -> Permutation:
-    """The identity assignment ``(1, 2, ..., n)``."""
-    if n < 1:
-        raise ValueError("permutation size must be at least 1")
-    return Permutation(tuple(range(1, n + 1)))
+def _assignment(u: np.ndarray | Sequence[int], n: int | None = None) -> np.ndarray:
+    """``u`` as an ``intp`` column array, checked to hold each of
+    ``0..n-1`` exactly once; ``n`` defaults to its length."""
+    columns = np.asarray(u, dtype=np.intp)
+    if n is None:
+        n = columns.size
+    if n < 1 or columns.shape != (n,) or (np.sort(columns) != np.arange(n)).any():
+        raise ValueError(f"not an assignment of columns 0..{n - 1}: {columns.tolist()}")
+    return columns
 
 
 class CostMatrix:
@@ -130,12 +82,14 @@ class CostMatrix:
 #: Matrix entries drawn per sampling pass, which bounds the sampler's
 #: scratch memory and, in the replication kernel, the matrices held at once.
 SAMPLE_CHUNK_ENTRIES = 2**16
+#: Largest size the sampler draws: one matrix of doubles is then 128 MiB.
+SAMPLE_N_MAX = 4096
 
 
 def sample_chunk_size(n: int) -> int:
     """Matrices of size ``n`` per sampling pass (at least one)."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
+    if not 1 <= n <= SAMPLE_N_MAX:
+        raise ValueError(f"matrix size must lie in 1..{SAMPLE_N_MAX}, got {n}")
     return max(1, SAMPLE_CHUNK_ENTRIES // (n * n))
 
 
@@ -174,37 +128,16 @@ def sample_cost_matrix(n: int, seed: int) -> CostMatrix:
     return CostMatrix(sample_cost_entries(n, [seed])[0])
 
 
-def _check_same_size(u: Permutation, v: Permutation) -> int:
-    if u.n != v.n:
-        raise ValueError(f"permutation sizes differ: {u.n} vs {v.n}")
-    return u.n
-
-
-def field_value(c: CostMatrix, u: Permutation) -> FieldValue:
-    """Normalized cost ``n**-0.5 * sum_i c(i, u(i))`` of assignment ``u``."""
-    if c.n != u.n:
-        raise ValueError(f"dimension mismatch: matrix {c.n}, permutation {u.n}")
-    picked = c.entries[np.arange(c.n), u.zero_based()]
+def field_value(c: CostMatrix, u: np.ndarray | Sequence[int]) -> float:
+    """Normalized cost ``n**-0.5 * sum_i c(i, u[i])`` of assignment ``u``."""
+    picked = c.entries[np.arange(c.n), _assignment(u, c.n)]
     return float(picked.sum() / math.sqrt(c.n))
 
 
-def correlation(u: Permutation, v: Permutation) -> float:
+def correlation(u: np.ndarray | Sequence[int], v: np.ndarray | Sequence[int]) -> float:
     """Correlation of the field at ``u`` and ``v``: agreeing positions / n."""
-    n = _check_same_size(u, v)
-    agree = sum(1 for a, b in zip(u.mapping, v.mapping) if a == b)
-    return agree / n
-
-
-def hamming_distance(u: Permutation, v: Permutation) -> int:
-    """Number of positions where the assignments disagree."""
-    n = _check_same_size(u, v)
-    return n - sum(1 for a, b in zip(u.mapping, v.mapping) if a == b)
-
-
-def l2_distance(u: Permutation, v: Permutation) -> float:
-    """L2 distance between field coordinates: ``sqrt(2 * hamming / n)``."""
-    n = _check_same_size(u, v)
-    return math.sqrt(2.0 * hamming_distance(u, v) / n)
+    u = _assignment(u)
+    return int((u == _assignment(v, len(u))).sum()) / len(u)
 
 
 def write_matrix_csv(c: CostMatrix, target: str | PathLike[str] | IO[str]) -> None:

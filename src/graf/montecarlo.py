@@ -287,9 +287,7 @@ def _row_tasks(n: int, master_seed: int, replications: int):
 
 def _row_task_count(n: int, replications: int) -> int:
     """Number of tasks :func:`_row_tasks` yields."""
-    step = sample_chunk_size(n)
-    full, rest = divmod(replications, BLOCK_REPLICATIONS)
-    return full * -(-BLOCK_REPLICATIONS // step) + -(-rest // step)
+    return sum(1 for _ in _row_tasks(n, 0, replications))
 
 
 def _push_rows(stats: list[RunningStats], cov: RunningCovariance, rows: np.ndarray) -> None:

@@ -17,17 +17,20 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from graf._permutations import raw_sum_blocks
-from graf.field import CostMatrix, Permutation
+from graf.field import CostMatrix
 
 #: Exhaustive search walks n! assignments; 10! keeps it in the seconds range.
 BRUTE_FORCE_N_MAX = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
-    """An assignment with its raw cost sum and normalized field value."""
+    """An assignment with its raw cost sum and normalized field value.
 
-    assignment: Permutation
+    ``columns[i]`` is the 0-based column that row ``i`` takes.
+    """
+
+    columns: np.ndarray
     raw_sum: float
     field_value: float
 
@@ -35,11 +38,7 @@ class SolveResult:
 def _result(entries: np.ndarray, columns: np.ndarray) -> SolveResult:
     n = entries.shape[0]
     raw = float(entries[np.arange(n), columns].sum())
-    return SolveResult(
-        assignment=Permutation.from_zero_based(columns),
-        raw_sum=raw,
-        field_value=raw / math.sqrt(n),
-    )
+    return SolveResult(columns=columns, raw_sum=raw, field_value=raw / math.sqrt(n))
 
 
 def solve_max_bruteforce(c: CostMatrix) -> SolveResult:
@@ -58,12 +57,10 @@ def solve_max_bruteforce(c: CostMatrix) -> SolveResult:
         # Strict improvement keeps the first (lexicographically smallest) argmax.
         if sums[j] > best:
             best = float(sums[j])
-            best_row = rows[j].copy()
+            best_row = rows[j]
     assert best_row is not None
     return SolveResult(
-        assignment=Permutation.from_zero_based(best_row),
-        raw_sum=best,
-        field_value=best / math.sqrt(c.n),
+        columns=best_row.astype(np.intp), raw_sum=best, field_value=best / math.sqrt(c.n)
     )
 
 

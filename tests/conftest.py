@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graf import montecarlo
-from graf.field import CostMatrix, Permutation
+from graf.field import CostMatrix
 
 
 @pytest.fixture
@@ -50,8 +50,9 @@ def fake_pool(monkeypatch):
     return record
 
 
-def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
-    return Permutation.from_zero_based(rng.permutation(n))
+def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A uniform assignment as a 0-based column array."""
+    return rng.permutation(n)
 
 
 def random_matrix(rng: np.random.Generator, n: int) -> CostMatrix:
@@ -59,6 +60,6 @@ def random_matrix(rng: np.random.Generator, n: int) -> CostMatrix:
 
 
 def all_permutations(n: int):
-    """Independent tiny-scale walk of the group (not the package's table)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield Permutation(perm)
+    """Independent tiny-scale walk of the group (not the package's table),
+    as 0-based column tuples."""
+    yield from itertools.permutations(range(n))

@@ -5,10 +5,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from graf.bounds import (
-    asymptotic_max_scale,
     bounds_row,
-    chatterjee_bound,
-    chatterjee_bound_exact,
     expected_max_iid_gaussian,
     greedy_lower_bound,
     nearmax_regime_threshold,
@@ -17,7 +14,6 @@ from graf.bounds import (
     upper_bound_expected_max,
     variance_lower_bound,
 )
-from graf.combinatorics import ball_size, log_factorial
 
 
 def survival_form_expected_max(k: int) -> float:
@@ -52,7 +48,7 @@ class TestExpectedMax:
 
     @pytest.mark.parametrize("k", [10**3, 10**4, 10**5, 10**6])
     def test_asymptotic_envelope(self, k):
-        assert 0.8 < expected_max_iid_gaussian(k) / asymptotic_max_scale(k) < 1.05
+        assert 0.8 < expected_max_iid_gaussian(k) / math.sqrt(2 * math.log(k)) < 1.05
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -125,64 +121,3 @@ class TestNearMaxBound:
             nearmax_theorem_bound(10, 1.5)
         with pytest.raises(ValueError):
             nearmax_theorem_bound(10, 0.5, c_small=0.0)
-
-
-class TestChatterjeeBound:
-    def test_boundary_coincides(self):
-        # Choose m so that K = n log n exactly; both branches give 2 n log n.
-        n = 10
-        nlogn = n * math.log(n)
-        m = nlogn  # eps*m^2 <= m for tiny eps, so K = C*m = n log n
-        assert chatterjee_bound(n, 1e-12, m, 1.0) == pytest.approx(2 * nlogn, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [10, 100])
-    @pytest.mark.parametrize("eps", [0.01, 0.3])
-    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
-    def test_matches_grid_search(self, n, eps, c):
-        m = math.sqrt(2 * log_factorial(n))
-        k_term = c * max(eps * m * m, m)
-        nlogn = n * math.log(n)
-        grid_best = min(
-            delta * nlogn + k_term / delta
-            for delta in (i / 10**4 for i in range(1, 10**4))
-        )
-        assert chatterjee_bound(n, eps, m, c) == pytest.approx(grid_best, rel=1e-6)
-
-    def test_example_value(self):
-        m = math.sqrt(2 * log_factorial(100))
-        expected = 2 * math.sqrt(max(0.01 * m * m, m) * 100 * math.log(100))
-        assert chatterjee_bound(100, 0.01, m, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            chatterjee_bound(10, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            chatterjee_bound(10, 0.1, 1.0, c=-1.0)
-
-
-class TestChatterjeeExact:
-    def test_default_grid_beats_uniform_grid(self):
-        n, eps, c = 12, 0.05, 1.0
-        m = math.sqrt(2 * log_factorial(n))
-        default = chatterjee_bound_exact(n, eps, m, c)
-        uniform = chatterjee_bound_exact(
-            n, eps, m, c, delta_grid=[i / 2000 for i in range(1, 2000)]
-        )
-        assert default <= uniform + 1e-9
-
-    def test_never_above_relaxation(self):
-        # log(ball size) <= delta n log n pointwise, so the exact infimum
-        # cannot exceed the relaxed closed form.
-        for n in (5, 10, 20):
-            m = math.sqrt(2 * log_factorial(n))
-            for eps in (0.01, 0.2, 0.8):
-                assert chatterjee_bound_exact(n, eps, m) <= chatterjee_bound(n, eps, m) + 1e-9
-
-    def test_grid_values_match_objective(self):
-        n, eps, c = 8, 0.1, 1.0
-        m = math.sqrt(2 * log_factorial(n))
-        k_term = c * max(eps * m * m, m)
-        delta = 0.5
-        assert chatterjee_bound_exact(n, eps, m, c, delta_grid=[delta]) == pytest.approx(
-            math.log(ball_size(n, delta)) + k_term / delta, rel=1e-15
-        )

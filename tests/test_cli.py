@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from graf import montecarlo
+from graf import cli, montecarlo
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
 from graf.field import sample_cost_matrix, write_matrix_csv
@@ -77,6 +77,34 @@ class TestReplicationCounts:
     @pytest.mark.parametrize("base, key", _REPLICATION_FLAGS)
     def test_two_is_accepted(self, base, key):
         assert getattr(parse_args(base + [f"--{key}", "2"]), key.replace("-", "_")) == 2
+
+
+class TestSampleSizeLimit:
+    """Sizes the sampler cannot draw within memory are usage errors, and an
+    allocation that fails anyway is a one-line runtime error."""
+
+    def test_estimate_n_above_limit(self, capsys):
+        assert main(["estimate", "--n", "4097", "--reps", "2", "--seed", "0"]) == 2
+        assert "argument --n: must lie in 1..4096, got 4097" in capsys.readouterr().err
+
+    def test_ratio_table_n_list_above_limit(self, capsys):
+        assert main(["ratio-table", "--n-list", "10,5000", "--reps", "2", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --n-list: each value must be in 2..4096, got 5000" in err
+
+    def test_limit_is_accepted(self):
+        assert parse_args(["estimate", "--n", "4096", "--reps", "2", "--seed", "0"]).n == 4096
+        config = parse_args(["ratio-table", "--n-list", "2,4096", "--reps", "2", "--seed", "0"])
+        assert config.n_list == [2, 4096]
+
+    def test_memory_error_is_one_line_failure(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "estimate", exhausted)
+        assert main(["estimate", "--n", "10", "--reps", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "graf: error: out of memory: Unable to allocate 6.71 GiB for an array\n"
 
 
 class TestConfigFile:
@@ -206,7 +234,7 @@ class TestSolveCommand:
         expected = solve_max_exact(sample_cost_matrix(4, 42))
         assert payload["n"] == 4
         assert payload["method"] == "exact"
-        assert tuple(payload["assignment"]) == expected.assignment.mapping
+        assert payload["assignment"] == (expected.columns + 1).tolist()
         assert payload["raw_sum"] == pytest.approx(expected.raw_sum, rel=1e-15)
         assert payload["field_value"] == pytest.approx(expected.field_value, rel=1e-15)
 

@@ -17,7 +17,7 @@ from graf.enumerator import (
     nearmax_table,
     verify_ball_size,
 )
-from graf.field import CostMatrix, Permutation, field_value, sample_cost_matrix
+from graf.field import CostMatrix, field_value, sample_cost_matrix
 from graf.solvers import solve_max_bruteforce, solve_max_exact
 
 from conftest import random_permutation
@@ -44,8 +44,7 @@ class TestEnumerateField:
         c = sample_cost_matrix(5, 11)
         perms, values = enumerate_field(c)
         for row, value in zip(perms, values):
-            perm = Permutation.from_zero_based(row)
-            assert value == pytest.approx(field_value(c, perm), rel=1e-12)
+            assert value == pytest.approx(field_value(c, row), rel=1e-12)
 
     def test_max_matches_bruteforce(self):
         c = sample_cost_matrix(3, 8)
@@ -136,6 +135,11 @@ class TestCorrelationHistogram:
             for _ in range(3):
                 ref = random_permutation(rng, n)
                 assert correlation_histogram_exact(n, ref).counts == base.counts
+
+    @pytest.mark.parametrize("reference", [[0, 1], [0, 0, 1], [0, 1, 3]])
+    def test_rejects_bad_reference(self, reference):
+        with pytest.raises(ValueError, match="not an assignment"):
+            correlation_histogram_exact(3, reference)
 
     def test_counts_partition_group(self):
         for n in (2, 5, 8):
@@ -228,3 +232,11 @@ class TestDimensionStudy:
             nearmax_table([4], [1.2], 10, 0, m_reps=100)
         with pytest.raises(ValueError):
             nearmax_table([4], [], 10, 0, m_reps=100)
+
+    @pytest.mark.parametrize(
+        "replications, m_reps, message",
+        [(1, 100, "need at least 2 replications"), (10, 1, "m_reps must be at least 2, got 1")],
+    )
+    def test_replication_errors_name_the_argument(self, replications, m_reps, message):
+        with pytest.raises(ValueError, match=message):
+            nearmax_table([4], [0.2], replications, 0, m_reps=m_reps)

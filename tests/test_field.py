@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from graf.field import (
     CostMatrix,
-    Permutation,
     correlation,
     field_value,
-    hamming_distance,
-    identity_permutation,
-    l2_distance,
     permutation_texts,
     read_matrix_csv,
     sample_cost_matrix,
@@ -23,52 +19,50 @@ from graf.field import (
 
 from conftest import random_matrix, random_permutation
 
-permutations_st = st.integers(min_value=1, max_value=8).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))
-).map(lambda p: Permutation(tuple(p)))
-
 
 def paired_permutations(n_max=8):
     return st.integers(min_value=1, max_value=n_max).flatmap(
-        lambda n: st.tuples(
-            st.permutations(list(range(1, n + 1))),
-            st.permutations(list(range(1, n + 1))),
-        )
-    ).map(lambda uv: (Permutation(tuple(uv[0])), Permutation(tuple(uv[1]))))
+        lambda n: st.tuples(st.permutations(list(range(n))), st.permutations(list(range(n))))
+    )
+
+
+def coordinate_distance(u, v) -> float:
+    """L2 distance between the field coordinates at ``u`` and ``v``.
+
+    ``g(c, u) - g(c, v)`` is linear in the i.i.d. standard Gaussian entries,
+    so its L2 norm is the Euclidean norm of its coefficients, which
+    ``field_value`` gives one unit matrix at a time.
+    """
+    n = len(u)
+    squares = []
+    for i, j in itertools.product(range(n), repeat=2):
+        unit = np.zeros((n, n))
+        unit[i, j] = 1.0
+        c = CostMatrix(unit)
+        squares.append((field_value(c, u) - field_value(c, v)) ** 2)
+    return math.sqrt(math.fsum(squares))
 
 
 class TestPermutation:
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_identity(self, n):
-        assert identity_permutation(n).mapping == tuple(range(1, n + 1))
-
-    def test_identity_rejects_zero(self):
-        with pytest.raises(ValueError):
-            identity_permutation(0)
-
-    @pytest.mark.parametrize("bad", [(), (2,), (1, 1), (1, 3), (0, 1)])
+    @pytest.mark.parametrize("bad", [(), (1,), (0, 0), (0, 2), (-1, 0)])
     def test_rejects_non_bijections(self, bad):
-        with pytest.raises(ValueError):
-            Permutation(bad)
+        with pytest.raises(ValueError, match="not an assignment"):
+            correlation(bad, bad)
+        with pytest.raises(ValueError, match="not an assignment"):
+            field_value(CostMatrix(np.zeros((max(1, len(bad)),) * 2)), bad)
 
-    def test_call_is_one_based(self):
-        u = Permutation((2, 1, 3))
-        assert u(1) == 2 and u(2) == 1 and u(3) == 3
-        with pytest.raises(ValueError):
-            u(0)
-
-    def test_text_round_trip(self):
-        u = Permutation((3, 1, 2))
-        assert u.to_text() == "3,1,2"
-        assert Permutation.from_text("3,1,2") == u
-        with pytest.raises(ValueError):
-            Permutation.from_text("3;1;2")
+    def test_text_round_trip(self, rng):
+        u = rng.permutation(7)
+        (text,) = permutation_texts([u])
+        assert np.array_equal(np.array(text.split(","), dtype=int) - 1, u)
+        assert permutation_texts([[2, 0, 1]]) == ["3,1,2"]
 
     def test_table_texts_match_permutation_text(self):
-        table = np.array(list(itertools.permutations(range(4))), dtype=np.int8)
-        texts = permutation_texts(table)
+        rows = list(itertools.permutations(range(4)))
+        texts = permutation_texts(np.array(rows, dtype=np.int8))
         assert texts[0] == "1,2,3,4" and texts[-1] == "4,3,2,1"
-        assert texts == [Permutation.from_zero_based(row).to_text() for row in table]
+        # One-line notation: the 1-based column of each row, comma-separated.
+        assert texts == [",".join(str(j + 1) for j in row) for row in rows]
 
 
 class TestCostMatrix:
@@ -116,7 +110,7 @@ class TestSampling:
             sample_cost_matrix(3, 2**64)
 
     def test_unit_variance_across_seeds(self):
-        u = identity_permutation(4)
+        u = np.arange(4)
         values = [field_value(sample_cost_matrix(4, seed), u) for seed in range(2000)]
         # Monte Carlo error of the sample variance is ~sqrt(2/2000) ~ 0.032.
         assert abs(np.var(values, ddof=1) - 1.0) < 0.13
@@ -124,15 +118,15 @@ class TestSampling:
 
 class TestFieldValue:
     def test_single_entry(self):
-        assert field_value(CostMatrix([[2.5]]), Permutation((1,))) == 2.5
+        assert field_value(CostMatrix([[2.5]]), [0]) == 2.5
 
     def test_hand_case(self):
         c = CostMatrix([[0.0, 2.0], [3.0, 1.0]])
-        assert field_value(c, Permutation((2, 1))) == pytest.approx(5.0 / math.sqrt(2), abs=1e-15)
+        assert field_value(c, [1, 0]) == pytest.approx(5.0 / math.sqrt(2), abs=1e-15)
 
     def test_linearity(self):
         c = CostMatrix([[0.0, 2.0], [3.0, 1.0]])
-        u = Permutation((2, 1))
+        u = [1, 0]
         doubled = CostMatrix(2.0 * c.entries)
         assert field_value(doubled, u) == pytest.approx(2.0 * field_value(c, u), rel=1e-15)
 
@@ -148,43 +142,31 @@ class TestFieldValue:
             c = random_matrix(rng, n)
             u = random_permutation(rng, n)
             w = random_permutation(rng, n)
-            relabeled = CostMatrix(c.entries[w.zero_based(), :])
-            composed = Permutation(tuple(u.mapping[j] for j in w.zero_based()))
-            assert field_value(relabeled, composed) == pytest.approx(
-                field_value(c, u), rel=1e-12
-            )
+            relabeled = CostMatrix(c.entries[w, :])
+            assert field_value(relabeled, u[w]) == pytest.approx(field_value(c, u), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            field_value(CostMatrix([[1.0]]), Permutation((2, 1)))
+            field_value(CostMatrix([[1.0]]), [1, 0])
 
 
 class TestMetricStructure:
     def test_correlation_examples(self):
-        assert correlation(Permutation((1, 2, 3)), Permutation((1, 2, 3))) == 1.0
-        assert correlation(Permutation((1, 2, 3)), Permutation((2, 1, 3))) == pytest.approx(1 / 3)
-        assert correlation(Permutation((1, 2)), Permutation((2, 1))) == 0.0
-
-    def test_hamming_examples(self):
-        assert hamming_distance(Permutation((1, 2)), Permutation((1, 2))) == 0
-        assert hamming_distance(Permutation((1, 2)), Permutation((2, 1))) == 2
-        assert hamming_distance(Permutation((1, 2, 3)), Permutation((2, 1, 3))) == 2
+        assert correlation([0, 1, 2], [0, 1, 2]) == 1.0
+        assert correlation([0, 1, 2], [1, 0, 2]) == pytest.approx(1 / 3)
+        assert correlation([0, 1], [1, 0]) == 0.0
 
     def test_l2_examples(self):
-        u, v = Permutation((1, 2)), Permutation((2, 1))
-        assert l2_distance(u, u) == 0.0
-        assert l2_distance(u, v) == pytest.approx(math.sqrt(2), rel=1e-15)
-        assert l2_distance(Permutation((1, 2, 3)), Permutation((2, 1, 3))) == pytest.approx(
+        u, v = [0, 1], [1, 0]
+        assert coordinate_distance(u, u) == 0.0
+        assert coordinate_distance(u, v) == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert coordinate_distance([0, 1, 2], [1, 0, 2]) == pytest.approx(
             math.sqrt(4 / 3), rel=1e-15
         )
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            correlation(Permutation((1,)), Permutation((1, 2)))
-        with pytest.raises(ValueError):
-            hamming_distance(Permutation((1,)), Permutation((1, 2)))
-        with pytest.raises(ValueError):
-            l2_distance(Permutation((1,)), Permutation((1, 2)))
+            correlation([0], [0, 1])
 
     @settings(max_examples=200, deadline=None)
     @given(paired_permutations())
@@ -195,13 +177,13 @@ class TestMetricStructure:
         assert 0.0 <= r <= 1.0
         assert correlation(u, u) == 1.0
         # Exact complement relation with the Hamming distance.
-        assert hamming_distance(u, v) == u.n * (1 - r)
+        assert sum(a != b for a, b in zip(u, v)) == len(u) * (1 - r)
 
     @settings(max_examples=200, deadline=None)
     @given(paired_permutations())
     def test_l2_identity(self, pair):
         u, v = pair
-        assert l2_distance(u, v) ** 2 == pytest.approx(
+        assert coordinate_distance(u, v) ** 2 == pytest.approx(
             2.0 * (1.0 - correlation(u, v)), abs=1e-14
         )
 

@@ -8,7 +8,13 @@ from scipy.stats import ks_2samp
 
 from graf import montecarlo
 from graf.enumerator import enumerated_field_mean
-from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries, sample_cost_matrix
+from graf.field import (
+    SAMPLE_N_MAX,
+    SEED_MAX,
+    sample_chunk_size,
+    sample_cost_entries,
+    sample_cost_matrix,
+)
 from graf.montecarlo import (
     STAT_KEYS,
     RunningCovariance,
@@ -207,6 +213,17 @@ class TestReplicateBlock:
         for kernel in (replicate_block, sample_cost_entries):
             with pytest.raises(ValueError, match="size"):
                 kernel(0, [1])
+
+    def test_rejects_size_above_limit(self):
+        # Checked before the sampler allocates its n*n buffers.
+        message = f"1..{SAMPLE_N_MAX}, got {SAMPLE_N_MAX + 1}"
+        for kernel in (replicate_block, sample_cost_entries):
+            with pytest.raises(ValueError, match=message):
+                kernel(SAMPLE_N_MAX + 1, [1])
+        with pytest.raises(ValueError, match=message):
+            estimate(SAMPLE_N_MAX + 1, 2, 0)
+        with pytest.raises(ValueError, match=message):
+            ratio_table([10, SAMPLE_N_MAX + 1], 2, 0)
 
     def test_block_accumulators_push_rows_in_order(self):
         n, master_seed, start, stop = 5, 77, 3, 260
