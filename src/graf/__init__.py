@@ -12,9 +12,7 @@ sets for small ``n``, and evaluates the matching closed-form bounds.
 from types import ModuleType as _ModuleType
 
 from graf.bounds import (
-    BoundsRow,
     NearMaxBound,
-    bounds_row,
     expected_max_iid_gaussian,
     greedy_lower_bound,
     nearmax_regime_threshold,

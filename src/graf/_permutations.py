@@ -40,10 +40,8 @@ def perm_table(n: int) -> np.ndarray:
     return table
 
 
-def raw_sum_blocks(entries: np.ndarray, block_rows: int = BLOCK_ROWS) -> Iterator[
-    tuple[int, np.ndarray, np.ndarray]
-]:
-    """Yield ``(offset, rows, sums)`` blocks over all permutations.
+def raw_sum_blocks(entries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(offset, rows, sums)`` blocks of ``BLOCK_ROWS`` permutations.
 
     ``rows`` is a slice of the table, ``sums[j]`` the un-normalized cost
     ``sum_i entries[i, rows[j, i]]``.
@@ -51,7 +49,7 @@ def raw_sum_blocks(entries: np.ndarray, block_rows: int = BLOCK_ROWS) -> Iterato
     n = entries.shape[0]
     table = perm_table(n)
     positions = np.arange(n)
-    for start in range(0, table.shape[0], block_rows):
-        rows = table[start : start + block_rows]
+    for start in range(0, table.shape[0], BLOCK_ROWS):
+        rows = table[start : start + BLOCK_ROWS]
         sums = entries[positions, rows].sum(axis=1)
         yield start, rows, sums

@@ -104,27 +104,6 @@ def variance_lower_bound(n: int) -> float:
     return 1.0 / n
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    """All closed-form mean/variance bounds evaluated at one size."""
-
-    n: int
-    upper_E: float
-    trivial_upper_E: float
-    greedy_lower_E: float
-    var_lower: float
-
-
-def bounds_row(n: int) -> BoundsRow:
-    return BoundsRow(
-        n=n,
-        upper_E=upper_bound_expected_max(n),
-        trivial_upper_E=trivial_upper_bound_expected_max(n),
-        greedy_lower_E=greedy_lower_bound(n),
-        var_lower=variance_lower_bound(n),
-    )
-
-
 def nearmax_regime_threshold(n: int) -> float:
     """Regime boundary ``(2 n log n)**-0.5`` for the near-maximal-set bound."""
     if n < 2:

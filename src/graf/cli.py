@@ -18,12 +18,13 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from fractions import Fraction
+from operator import attrgetter
 
 from graf import __version__
 from graf.bounds import (
-    bounds_row,
     greedy_lower_bound,
     nearmax_theorem_bound,
+    trivial_upper_bound_expected_max,
     upper_bound_expected_max,
     variance_lower_bound,
 )
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bounds = command("bounds", "closed-form bound table")
-    bounds.add_argument("--n-list", type=_int_list(1), required=True)
+    bounds.add_argument("--n-list", type=_int_list(1, SAMPLE_N_MAX), required=True)
     bounds.add_argument("--eps", type=_unit_list, default=[])
     bounds.add_argument("--delta", type=_unit_list, default=[])
     bounds.add_argument("--c-small", type=_positive_float, default=1.0)
@@ -268,48 +269,41 @@ def _report_to_json(report: EstimateReport) -> dict:
     }
 
 
-_RATIO_COLUMNS = [
-    "n",
-    "reps",
-    "mean_M",
-    "se_M",
-    "var_M",
-    "se_var_M",
-    "mean_W",
-    "mean_greedy",
-    "mean_gbar",
-    "var_gbar",
-    "cov_gbar_L",
-    "ratio",
-    "upper_E",
-    "greedy_lower_E",
-    "var_lower",
-]
+def _table(columns, items) -> str:
+    """CSV text with one row per item.  ``columns`` holds ``(name, cell)``
+    pairs in column order; ``cell(item)`` is the value in that column."""
+    rows = [[cell(item) for _, cell in columns] for item in items]
+    return to_csv_text([name for name, _ in columns], rows)
 
 
-def _ratio_rows(reports: list[EstimateReport]) -> list[list[object]]:
-    rows = []
-    for r in reports:
-        rows.append(
-            [
-                r.n,
-                r.replications,
-                r.max_value.mean,
-                r.max_value.mean_std_error,
-                r.max_value.variance,
-                r.max_value.variance_std_error,
-                r.min_value.mean,
-                r.greedy_value.mean,
-                r.field_mean.mean,
-                r.field_mean.variance,
-                r.cov_field_mean_residual,
-                r.ratio,
-                upper_bound_expected_max(r.n),
-                greedy_lower_bound(r.n),
-                variance_lower_bound(r.n),
-            ]
-        )
-    return rows
+# CSV column -> value for one EstimateReport, in column order.
+_RATIO_COLUMNS = {
+    "n": attrgetter("n"),
+    "reps": attrgetter("replications"),
+    "mean_M": attrgetter("max_value.mean"),
+    "se_M": attrgetter("max_value.mean_std_error"),
+    "var_M": attrgetter("max_value.variance"),
+    "se_var_M": attrgetter("max_value.variance_std_error"),
+    "mean_W": attrgetter("min_value.mean"),
+    "mean_greedy": attrgetter("greedy_value.mean"),
+    "mean_gbar": attrgetter("field_mean.mean"),
+    "var_gbar": attrgetter("field_mean.variance"),
+    "cov_gbar_L": attrgetter("cov_field_mean_residual"),
+    "ratio": attrgetter("ratio"),
+    "upper_E": lambda r: upper_bound_expected_max(r.n),
+    "greedy_lower_E": lambda r: greedy_lower_bound(r.n),
+    "var_lower": lambda r: variance_lower_bound(r.n),
+}
+
+# CSV column -> value for one size n, in column order; `bounds` appends
+# its per-eps and per-delta columns after these.
+_BOUNDS_COLUMNS = {
+    "n": lambda n: n,
+    "upper_E": upper_bound_expected_max,
+    "trivial_upper_E": trivial_upper_bound_expected_max,
+    "greedy_lower_E": greedy_lower_bound,
+    "var_lower": variance_lower_bound,
+}
 
 
 def _cmd_solve(config: argparse.Namespace) -> int:
@@ -333,36 +327,23 @@ def _cmd_solve(config: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(config: argparse.Namespace) -> int:
-    header = ["n", "upper_E", "trivial_upper_E", "greedy_lower_E", "var_lower"]
-    for eps in config.eps:
-        header.append(f"nearmax_eps_{format(eps, 'g')}")
-    for delta in config.delta:
-        header.append(f"V_delta_{format(delta, 'g')}")
-        header.append(f"Vbound_delta_{format(delta, 'g')}")
-    rows: list[list[object]] = []
-    for n in config.n_list:
-        row_bounds = bounds_row(n)
-        row: list[object] = [
-            n,
-            row_bounds.upper_E,
-            row_bounds.trivial_upper_E,
-            row_bounds.greedy_lower_E,
-            row_bounds.var_lower,
-        ]
-        for eps in config.eps:
-            if n >= 2:
-                bound = nearmax_theorem_bound(
-                    n, eps, c_small=config.c_small, c_large=config.c_large
-                )
-                row.append(bound.bound_value)
-            else:
-                row.append("")
-        for delta in config.delta:
-            # Exact counts stay decimal strings so big integers survive CSV.
-            row.append(str(ball_size(n, delta)) if n <= EXACT_N_MAX else "")
-            row.append(ball_size_upper_bound(n, delta))
-        rows.append(row)
-    _write_output(config.out, to_csv_text(header, rows))
+    def nearmax(eps: float):
+        c_small, c_large = config.c_small, config.c_large
+        return lambda n: (
+            nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large).bound_value
+            if n >= 2
+            else ""
+        )
+
+    columns = list(_BOUNDS_COLUMNS.items())
+    columns += [(f"nearmax_eps_{eps:g}", nearmax(eps)) for eps in config.eps]
+    for d in config.delta:
+        # Exact counts stay decimal strings so big integers survive CSV.
+        columns.append(
+            (f"V_delta_{d:g}", lambda n, d=d: str(ball_size(n, d)) if n <= EXACT_N_MAX else "")
+        )
+        columns.append((f"Vbound_delta_{d:g}", lambda n, d=d: ball_size_upper_bound(n, d)))
+    _write_output(config.out, _table(columns, config.n_list))
     return 0
 
 
@@ -371,30 +352,30 @@ def _cmd_estimate(config: argparse.Namespace) -> int:
     if config.format == "json":
         text = to_json_text(_report_to_json(report))
     else:
-        text = to_csv_text(_RATIO_COLUMNS, _ratio_rows([report]))
+        text = _table(_RATIO_COLUMNS.items(), [report])
     _write_output(config.out, text)
     return 0
 
 
 def _cmd_ratio_table(config: argparse.Namespace) -> int:
     reports = ratio_table(config.n_list, config.reps, config.seed, workers=config.workers)
-    _write_output(config.out, to_csv_text(_RATIO_COLUMNS, _ratio_rows(reports)))
+    _write_output(config.out, _table(_RATIO_COLUMNS.items(), reports))
     return 0
 
 
-# CSV column -> DimensionSummary field, in column order.
+# CSV column -> value for one DimensionSummary, in column order.
 _NEARMAX_COLUMNS = {
-    "n": "n",
-    "eps": "epsilon",
-    "m_used": "m_used",
-    "m_se": "m_std_error",
-    "reps": "replications",
-    "empty_frac": "empty_fraction",
-    "mean_log_size_nonempty": "mean_log_size_nonempty",
-    "se": "se_log_size",
-    "dimension": "dimension",
-    "bound_small": "bound_small",
-    "bound_large": "bound_large",
+    "n": attrgetter("n"),
+    "eps": attrgetter("epsilon"),
+    "m_used": attrgetter("m_used"),
+    "m_se": attrgetter("m_std_error"),
+    "reps": attrgetter("replications"),
+    "empty_frac": attrgetter("empty_fraction"),
+    "mean_log_size_nonempty": attrgetter("mean_log_size_nonempty"),
+    "se": attrgetter("se_log_size"),
+    "dimension": attrgetter("dimension"),
+    "bound_small": attrgetter("bound_small"),
+    "bound_large": attrgetter("bound_large"),
 }
 
 
@@ -410,8 +391,7 @@ def _cmd_nearmax(config: argparse.Namespace) -> int:
         sensitivity=config.sensitivity,
         workers=config.workers,
     )
-    table = [[getattr(row, field) for field in _NEARMAX_COLUMNS.values()] for row in rows]
-    _write_output(config.out, to_csv_text(list(_NEARMAX_COLUMNS), table))
+    _write_output(config.out, _table(_NEARMAX_COLUMNS.items(), rows))
     return 0
 
 

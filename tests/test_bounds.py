@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from graf.bounds import (
-    bounds_row,
     expected_max_iid_gaussian,
     greedy_lower_bound,
     nearmax_regime_threshold,
@@ -81,9 +80,12 @@ class TestMeanBounds:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_rows_are_ordered(self, n):
-        row = bounds_row(n)
-        assert row.greedy_lower_E <= row.upper_E <= row.trivial_upper_E
-        assert row.var_lower == 1.0 / n
+        assert (
+            greedy_lower_bound(n)
+            <= upper_bound_expected_max(n)
+            <= trivial_upper_bound_expected_max(n)
+        )
+        assert variance_lower_bound(n) == 1.0 / n
 
     def test_variance_lower_examples(self):
         assert variance_lower_bound(10) == 0.1

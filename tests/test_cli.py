@@ -92,10 +92,19 @@ class TestSampleSizeLimit:
         err = capsys.readouterr().err
         assert "argument --n-list: each value must be in 2..4096, got 5000" in err
 
+    @pytest.mark.parametrize("n_list", ["4097", "1,5000"])
+    def test_bounds_n_list_above_limit(self, tmp_path, capsys, n_list):
+        # The greedy bound runs one quadrature per k <= n and caches each.
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--n-list", n_list, "--out", str(out)]) == 2
+        assert "argument --n-list: each value must be in 1..4096" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_limit_is_accepted(self):
         assert parse_args(["estimate", "--n", "4096", "--reps", "2", "--seed", "0"]).n == 4096
         config = parse_args(["ratio-table", "--n-list", "2,4096", "--reps", "2", "--seed", "0"])
         assert config.n_list == [2, 4096]
+        assert parse_args(["bounds", "--n-list", "1,4096"]).n_list == [1, 4096]
 
     def test_memory_error_is_one_line_failure(self, monkeypatch, capsys):
         def exhausted(config):
