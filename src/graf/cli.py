@@ -19,6 +19,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from fractions import Fraction
 from operator import attrgetter
+from typing import Iterable, Iterator
 
 from graf import __version__
 from graf.bounds import (
@@ -52,7 +53,7 @@ from graf.field import (
     sample_cost_matrix,
 )
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
-from graf.serialize import atomic_write_text, fmt, to_csv_text, to_json_text
+from graf.serialize import atomic_write_text, fmt, fmt_column, to_csv_text, to_json_text
 from graf.solvers import (
     greedy_assignment,
     solve_max_bruteforce,
@@ -90,7 +91,13 @@ def _checked(kind: type, ok, rule: str):
 
 
 def _comma_list(convert):
-    return lambda text: [convert(part) for part in text.split(",")]
+    def convert_all(text: str) -> list:
+        values = [convert(part) for part in text.split(",")]
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
+
+    return convert_all
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be positive, got {value}")
@@ -249,11 +256,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _write_output(out: str | None, text: str) -> None:
+def _write_output(out: str | None, chunks: Iterable[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        atomic_write_text(out, text)
+        atomic_write_text(out, chunks)
 
 
 def _report_to_json(report: EstimateReport) -> dict:
@@ -322,7 +329,7 @@ def _cmd_solve(config: argparse.Namespace) -> int:
         "raw_sum": result.raw_sum,
         "field_value": result.field_value,
     }
-    _write_output(config.out, to_json_text(document))
+    _write_output(config.out, [to_json_text(document)])
     return 0
 
 
@@ -343,7 +350,7 @@ def _cmd_bounds(config: argparse.Namespace) -> int:
             (f"V_delta_{d:g}", lambda n, d=d: str(ball_size(n, d)) if n <= EXACT_N_MAX else "")
         )
         columns.append((f"Vbound_delta_{d:g}", lambda n, d=d: ball_size_upper_bound(n, d)))
-    _write_output(config.out, _table(columns, config.n_list))
+    _write_output(config.out, [_table(columns, config.n_list)])
     return 0
 
 
@@ -353,13 +360,13 @@ def _cmd_estimate(config: argparse.Namespace) -> int:
         text = to_json_text(_report_to_json(report))
     else:
         text = _table(_RATIO_COLUMNS.items(), [report])
-    _write_output(config.out, text)
+    _write_output(config.out, [text])
     return 0
 
 
 def _cmd_ratio_table(config: argparse.Namespace) -> int:
     reports = ratio_table(config.n_list, config.reps, config.seed, workers=config.workers)
-    _write_output(config.out, _table(_RATIO_COLUMNS.items(), reports))
+    _write_output(config.out, [_table(_RATIO_COLUMNS.items(), reports)])
     return 0
 
 
@@ -391,14 +398,32 @@ def _cmd_nearmax(config: argparse.Namespace) -> int:
         sensitivity=config.sensitivity,
         workers=config.workers,
     )
-    _write_output(config.out, _table(_NEARMAX_COLUMNS.items(), rows))
+    _write_output(config.out, [_table(_NEARMAX_COLUMNS.items(), rows)])
     return 0
+
+
+#: Rows of `enumerate` output formatted at a time, which bounds the text
+#: held in memory.
+ENUMERATE_CHUNK_ROWS = 2**13
 
 
 def _cmd_enumerate(config: argparse.Namespace) -> int:
     perms, values = enumerate_field(read_matrix_csv(config.input))
-    rows = [[text, value] for text, value in zip(permutation_texts(perms), values.tolist())]
-    _write_output(config.out, to_csv_text(["permutation", "field_value"], rows))
+    # The bytes of to_csv_text: a text with a comma is quoted, and only the
+    # one-column text of n = 1 has none.
+    row = "%s,%s\n" if perms.shape[1] == 1 else '"%s",%s\n'
+
+    def chunks() -> Iterator[str]:
+        yield to_csv_text(["permutation", "field_value"], [])
+        for start in range(0, len(values), ENUMERATE_CHUNK_ROWS):
+            chunk = slice(start, start + ENUMERATE_CHUNK_ROWS)
+            texts = permutation_texts(perms[chunk])
+            cells = [""] * (2 * len(texts))
+            cells[::2] = texts
+            cells[1::2] = fmt_column(values[chunk])
+            yield row * len(texts) % tuple(cells)
+
+    _write_output(config.out, chunks())
     return 0
 
 
@@ -449,7 +474,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
                 mean_correlation_exhaustive(n) == Fraction(1, n),
             )
     text = "\n".join(lines) + "\n"
-    _write_output(config.out, text)
+    _write_output(config.out, [text])
     if config.out is not None:
         sys.stdout.write(text)
     return _FAILURE_EXIT if failed else 0

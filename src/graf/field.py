@@ -27,8 +27,21 @@ SEED_MAX = 2**64 - 1
 def permutation_texts(table: np.ndarray | Sequence[Sequence[int]]) -> list[str]:
     """Text of each row of 0-based column indices (such as a permutation
     table) in 1-based, comma-separated one-line notation: ``[1, 0, 2]``
-    becomes ``"2,1,3"``."""
-    return [",".join(map(str, row)) for row in (np.asarray(table) + 1).tolist()]
+    becomes ``"2,1,3"``.
+
+    Rows hold 1 to 9 indices, each in ``0..8``, so every 1-based index is
+    one digit; anything else raises ``ValueError``.
+    """
+    table = np.asarray(table)
+    if table.ndim != 2 or not 1 <= table.shape[1] <= 9:
+        raise ValueError(f"rows must hold 1 to 9 column indices, got shape {table.shape}")
+    if table.size and not 0 <= table.min() <= table.max() <= 8:
+        raise ValueError("column indices must lie in 0..8")
+    # One UCS-4 code per character: digits at even places, commas between.
+    width = 2 * table.shape[1] - 1
+    codes = np.full((len(table), width), ord(","), dtype=np.uint32)
+    codes[:, ::2] = table + ord("1")
+    return codes.view(f"U{width}").ravel().tolist()
 
 
 def _assignment(u: np.ndarray | Sequence[int], n: int | None = None) -> np.ndarray:

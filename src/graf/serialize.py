@@ -11,6 +11,9 @@ import math
 import os
 import tempfile
 from os import PathLike
+from typing import Iterable
+
+import numpy as np
 
 
 def fmt(x: float) -> str:
@@ -19,6 +22,20 @@ def fmt(x: float) -> str:
     if not any(ch in text for ch in ".enai"):  # e/n/a/i catch exp, nan, inf
         text += ".0"
     return text
+
+
+def fmt_column(values: np.ndarray) -> list[str]:
+    """``[fmt(v) for v in values]`` in one ``%``-formatting pass.
+
+    ``%.17g`` prints what ``fmt`` prints except on integral values, where
+    it prints no ``.``; only those go through ``fmt`` again.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
+    texts.pop()
+    for i in np.flatnonzero(values == np.trunc(values)).tolist():
+        texts[i] = fmt(values[i])
+    return texts
 
 
 def _emit(obj: object, pieces: list[str], indent: int) -> None:
@@ -101,8 +118,10 @@ def parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
     return records[0], records[1:]
 
 
-def atomic_write_text(path: str | PathLike[str], text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+def atomic_write_text(path: str | PathLike[str], chunks: Iterable[str]) -> None:
+    """Write the text chunks in order via a temp file and rename, so a
+    failure, also one raised while producing a chunk, leaves no partial
+    file and any old file at ``path`` untouched."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -111,7 +130,7 @@ def atomic_write_text(path: str | PathLike[str], text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

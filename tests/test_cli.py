@@ -2,16 +2,31 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import graf
 from graf import cli, montecarlo
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
-from graf.field import sample_cost_matrix, write_matrix_csv
+from graf.enumerator import enumerate_field
+from graf.field import read_matrix_csv, sample_cost_matrix, write_matrix_csv
 from graf.montecarlo import estimate
-from graf.serialize import parse_csv_text, to_json_text
+from graf.serialize import (
+    atomic_write_text,
+    fmt,
+    fmt_column,
+    parse_csv_text,
+    to_csv_text,
+    to_json_text,
+)
 from graf.solvers import solve_max_exact
 
 
@@ -114,6 +129,53 @@ class TestSampleSizeLimit:
         assert main(["estimate", "--n", "10", "--reps", "2", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err == "graf: error: out of memory: Unable to allocate 6.71 GiB for an array\n"
+
+
+# Each comma-list flag, the other flags its command needs, and a list that
+# repeats a value.  Pools and the m-pass are kept small in case the list is
+# accepted.
+_LIST_FLAGS = [
+    (["bounds"], "n-list", "3,4,3"),
+    (["bounds", "--n-list", "3"], "eps", "0.1,0.1"),
+    (["bounds", "--n-list", "3"], "delta", "0.3,0.30"),
+    (["ratio-table", "--reps", "2", "--seed", "1", "--workers", "1"], "n-list", "3,3"),
+    (
+        ["nearmax", "--eps", "0.2", "--reps", "2", "--m-reps", "2", "--seed", "1",
+         "--workers", "1"],
+        "n",
+        "3,3",
+    ),
+    (
+        ["nearmax", "--n", "3", "--reps", "2", "--m-reps", "2", "--seed", "1",
+         "--workers", "1"],
+        "eps",
+        "0.2,0.1,0.2",
+    ),
+    (["verify", "--delta", "0.3"], "n", "3,3"),
+    (["verify", "--n", "3"], "delta", "0.5,0.5"),
+]
+
+
+class TestRepeatedListValues:
+    """A repeated value in a comma-list flag is a usage error that names the
+    flag, on the command line and in a config file; a repeat would give
+    `bounds` two columns of one name, for instance."""
+
+    @pytest.mark.parametrize("base, key, values", _LIST_FLAGS)
+    def test_flag(self, tmp_path, capsys, base, key, values):
+        out = tmp_path / "out.txt"
+        assert main(base + [f"--{key}", values, "--out", str(out)]) == 2
+        assert f"argument --{key}: repeated value in {values!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, key, values", _LIST_FLAGS)
+    def test_config_key(self, tmp_path, capsys, base, key, values):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={values}\n")
+        out = tmp_path / "out.txt"
+        assert main(base + ["--config", str(config), "--out", str(out)]) == 2
+        assert f"argument --{key}: repeated value in {values!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -356,6 +418,124 @@ class TestEnumerateCommand:
         assert header == ["permutation", "field_value"]
         assert len(rows) == math.factorial(4)
         assert rows[0][0] == "1,2,3,4"
+
+
+def _enumerate_oracle(matrix) -> bytes:
+    """The enumerate document built one cell at a time by to_csv_text."""
+    perms, values = enumerate_field(matrix)
+    texts = [",".join(str(j + 1) for j in row) for row in perms.tolist()]
+    rows = [[text, value] for text, value in zip(texts, values.tolist())]
+    return to_csv_text(["permutation", "field_value"], rows).encode("ascii")
+
+
+def _enumerate_both_ways(path, out, capsys) -> bytes:
+    """The document written to ``out``, after checking stdout gets the same."""
+    assert main(["enumerate", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["enumerate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+    return out.read_bytes()
+
+
+class TestEnumerateStream:
+    """`enumerate` formats its rows a chunk at a time; the document must
+    equal the one built cell by cell, on --out and on stdout alike."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sampled_matrix_matches_oracle(self, tmp_path, capsys, n):
+        if n == 9:
+            # The last chunk is a partial one.
+            assert math.factorial(9) % cli.ENUMERATE_CHUNK_ROWS != 0
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_cost_matrix(n, 100 + n), path)
+        document = _enumerate_both_ways(path, tmp_path / "fields.csv", capsys)
+        assert document == _enumerate_oracle(read_matrix_csv(path))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Integral sums: 0, small integers, +-1e16 and 1e17 (the field
+            # value is the sum / 2).
+            ["0,2e16,-2e16,2e17", "-0,0,0,0", "2,0,4,6", "0,0,0,0"],
+            ["-0"],
+            ["0"],
+            ["3"],
+            ["1e17"],
+            ["-1e16"],
+        ],
+    )
+    def test_integral_values_match_oracle(self, tmp_path, capsys, rows):
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join([f"# n={len(rows)}", *rows]) + "\n")
+        document = _enumerate_both_ways(path, tmp_path / "fields.csv", capsys)
+        assert document == _enumerate_oracle(read_matrix_csv(path))
+        if len(rows) == 4:
+            for cell in (b",0.0\n", b",3.0\n", b",-10000000000000000.0\n", b",1e+17\n"):
+                assert cell in document
+
+    def test_peak_memory_n9(self, tmp_path):
+        # VmHWM is the high-water mark of this process's own address space;
+        # ru_maxrss would also carry the mark of the process that forked it.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_cost_matrix(9, 0), path)
+        script = "\n".join([
+            "import sys",
+            "from graf.cli import main",
+            "status = main(sys.argv[1:])",
+            "with open('/proc/self/status') as fh:",
+            "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+            "sys.exit(status or (f'peak RSS {kb} kB, limit 140 MB' if kb >= 140 * 1024 else 0))",
+        ])
+        src = str(Path(graf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "fields.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "enumerate", "--input", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.stat().st_size > 0
+
+
+class TestFloatColumn:
+    _EDGES = [0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 1e17, 2.0**53, 0.1, 5e-324, 1.5e300,
+              math.nan, math.inf, -math.inf]
+
+    def test_edges_match_fmt(self):
+        assert fmt_column(np.array(self._EDGES)) == [fmt(v) for v in self._EDGES]
+        assert fmt_column(np.array([])) == []
+
+    @given(st.lists(st.floats(width=64)))
+    def test_matches_fmt(self, values):
+        assert fmt_column(np.array(values, dtype=np.float64)) == [fmt(v) for v in values]
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def _failing_chunks():
+        yield "first chunk\n"
+        raise RuntimeError("second chunk failed")
+
+    def test_failed_chunk_leaves_no_file(self, tmp_path):
+        target = tmp_path / "doc.csv"
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            atomic_write_text(target, self._failing_chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_chunk_keeps_old_target(self, tmp_path):
+        target = tmp_path / "doc.csv"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            atomic_write_text(target, self._failing_chunks())
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"old bytes\n"
+
+    def test_chunks_written_in_order(self, tmp_path):
+        target = tmp_path / "doc.csv"
+        atomic_write_text(target, iter(["a,b\n", "", "1,2\n"]))
+        assert target.read_bytes() == b"a,b\n1,2\n"
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graf._permutations import perm_table
 from graf.field import (
     CostMatrix,
     correlation,
@@ -63,6 +64,17 @@ class TestPermutation:
         assert texts[0] == "1,2,3,4" and texts[-1] == "4,3,2,1"
         # One-line notation: the 1-based column of each row, comma-separated.
         assert texts == [",".join(str(j + 1) for j in row) for row in rows]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_texts_match_python_join_on_perm_table(self, n):
+        table = perm_table(n)
+        expected = [",".join(str(j + 1) for j in row) for row in table.tolist()]
+        assert permutation_texts(table) == expected
+
+    @pytest.mark.parametrize("rows", [[list(range(10))], [[9]], [[0, -1]], [[]]])
+    def test_texts_reject_indices_beyond_one_digit(self, rows):
+        with pytest.raises(ValueError):
+            permutation_texts(rows)
 
 
 class TestCostMatrix:
