@@ -90,11 +90,23 @@ def _checked(kind: type, ok, rule: str):
     return convert
 
 
-def _comma_list(convert):
+def _comma_list(convert, name=None):
+    """Converter of a comma-separated list of distinct values.  With
+    ``name``, values must also differ in ``name(value)``, a column name."""
+
     def convert_all(text: str) -> list:
-        values = [convert(part) for part in text.split(",")]
+        parts = text.split(",")
+        values = [convert(part) for part in parts]
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        if name is not None:
+            named: dict[str, str] = {}
+            for part, value in zip(parts, values):
+                first = named.setdefault(name(value), part)
+                if first != part:
+                    raise argparse.ArgumentTypeError(
+                        f"{first!r} and {part!r} give one column name ({name(value)})"
+                    )
         return values
 
     return convert_all
@@ -110,9 +122,19 @@ _seed_value = _checked(
     int, lambda v: 0 <= v <= SEED_MAX, "seed must fit in an unsigned 64-bit integer"
 )
 _positive_float = _checked(float, lambda v: v > 0.0, "must be positive, got {text}")
-_unit_list = _comma_list(
-    _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1, got {text}")
+_unit_value = _checked(
+    float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1, got {text}"
 )
+_unit_list = _comma_list(_unit_value)
+
+
+def _column_suffix(value: float) -> str:
+    """How a ``bounds`` column name spells a per-value parameter."""
+    return f"{value:g}"
+
+
+# `bounds` names one column per value, so the names must differ too.
+_column_list = _comma_list(_unit_value, name=_column_suffix)
 
 
 def _int_list(minimum: int, maximum: int | None = None):
@@ -146,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = command("bounds", "closed-form bound table")
     bounds.add_argument("--n-list", type=_int_list(1, SAMPLE_N_MAX), required=True)
-    bounds.add_argument("--eps", type=_unit_list, default=[])
-    bounds.add_argument("--delta", type=_unit_list, default=[])
+    bounds.add_argument("--eps", type=_column_list, default=[])
+    bounds.add_argument("--delta", type=_column_list, default=[])
     bounds.add_argument("--c-small", type=_positive_float, default=1.0)
     bounds.add_argument("--c-large", type=_positive_float, default=1.0)
 
@@ -343,13 +365,14 @@ def _cmd_bounds(config: argparse.Namespace) -> int:
         )
 
     columns = list(_BOUNDS_COLUMNS.items())
-    columns += [(f"nearmax_eps_{eps:g}", nearmax(eps)) for eps in config.eps]
+    columns += [(f"nearmax_eps_{_column_suffix(eps)}", nearmax(eps)) for eps in config.eps]
     for d in config.delta:
+        suffix = _column_suffix(d)
         # Exact counts stay decimal strings so big integers survive CSV.
         columns.append(
-            (f"V_delta_{d:g}", lambda n, d=d: str(ball_size(n, d)) if n <= EXACT_N_MAX else "")
+            (f"V_delta_{suffix}", lambda n, d=d: str(ball_size(n, d)) if n <= EXACT_N_MAX else "")
         )
-        columns.append((f"Vbound_delta_{d:g}", lambda n, d=d: ball_size_upper_bound(n, d)))
+        columns.append((f"Vbound_delta_{suffix}", lambda n, d=d: ball_size_upper_bound(n, d)))
     _write_output(config.out, [_table(columns, config.n_list)])
     return 0
 

@@ -24,7 +24,13 @@ from graf.combinatorics import (
     in_correlation_ball,
 )
 from graf.field import CostMatrix, _assignment, sample_cost_entries
-from graf.montecarlo import _estimate, _row_task_count, _task_pool, derive_seed
+from graf.montecarlo import (
+    _child_seeds,
+    _estimate,
+    _row_task_count,
+    _task_pool,
+    derive_seed,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +77,7 @@ def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
     """Near-max set sizes of matrices ``start..stop-1`` of a dimension
     study, one row per matrix and one column per threshold."""
     n, master_seed, thresholds, start, stop = task
-    seeds = [derive_seed(master_seed, n, 1, k) for k in range(start, stop)]
+    seeds = _child_seeds(derive_seed(master_seed, n, 1), start, stop)
     return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
 
 

@@ -15,8 +15,9 @@ output writes assignments 1-based (:func:`permutation_texts`).
 from __future__ import annotations
 
 import math
+import operator
 from os import PathLike, fspath
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -106,13 +107,126 @@ def sample_chunk_size(n: int) -> int:
     return max(1, SAMPLE_CHUNK_ENTRIES // (n * n))
 
 
-def sample_cost_entries(n: int, seeds: Sequence[int]) -> np.ndarray:
+# numpy's SeedSequence (pool of 4 words) and PCG64 seeding constants; see
+# notes/decisions.md for the algorithm they take part in.
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` successive SeedSequence
+    hash steps, whose constant advances ``h -> h * mult``, as two
+    ``(count, 1)`` ``uint32`` columns."""
+    h = [init]
+    for _ in range(count):
+        h.append((h[-1] * mult) & _MASK32)
+    column = np.array(h, dtype=np.uint32)[:, np.newaxis]
+    return column[:-1], column[1:]
+
+
+# Mixing the entropy takes 4 + 12 hash steps; generating 4 uint64 words, 8.
+_MIX_XOR, _MIX_MULT = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` of each
+    ``uint64`` seed, as a ``(len(seeds), 4)`` array, in wrapping ``uint32``
+    arithmetic across the batch."""
+    # The pool's 4 words start as the seed's 32-bit words, low first; the
+    # missing words hash as zeros, so seeds below 2**32 need no second path.
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hash(pool, _MIX_XOR[:4], _MIX_MULT[:4])
+    for src in range(4):
+        # Word src, hashed once per step, mixes into the other three words
+        # in order; those three updates do not depend on each other.
+        dst = [d for d in range(4) if d != src]
+        step = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _MIX_XOR[step], _MIX_MULT[step]))
+    # Output value i hashes pool word i mod 4; consecutive values pair into
+    # one uint64, low word first.
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+
+
+#: Fewest seeds a sampling pass seeds in batch.  The batch costs about
+#: 130 us of small numpy calls per pass and saves about 11 us per seed
+#: against ``np.random.PCG64(seed)`` (n = 10, 2-core VM), so smaller
+#: passes, such as every pass from n = 74 on, use numpy's constructor.
+_SEED_BATCH_MIN = 12
+
+
+def _raw_passes(n: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
+    """The first ``n*n`` raw outputs of ``np.random.PCG64(seed)`` for each
+    ``uint64`` seed, as one ``(matrices, n*n)`` array per sampling pass of
+    :func:`sample_chunk_size` seeds.  Each pass reuses the previous pass's
+    buffer.
+
+    A pass of at least ``_SEED_BATCH_MIN`` seeds takes its PCG64 states
+    from :func:`_seed_sequence_words`; one generator, reused for the pass,
+    is set to each state and drawn from.
+    """
+    step = sample_chunk_size(n)
+    raw = np.empty((min(step, len(seeds)), n * n), dtype=np.uint64)
+    for start in range(0, len(seeds), step):
+        batch = seeds[start : start + step]
+        if len(batch) < _SEED_BATCH_MIN:
+            for row, seed in zip(raw, batch.tolist()):
+                row[:] = np.random.PCG64(seed).random_raw(n * n)
+        else:
+            generator = np.random.PCG64(0)
+            for row, (w0, w1, w2, w3) in zip(raw, _seed_sequence_words(batch).tolist()):
+                # PCG64's seeding: initstate = w0:w1, initseq = w2:w3 (128-bit).
+                inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+                state = ((((w0 << 64) | w1) + inc) * _PCG_MULT + inc) & _MASK128
+                generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                row[:] = generator.random_raw(n * n)
+        yield raw[: len(batch)]
+
+
+def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``seeds`` as a ``uint64`` array; each must be an integer in ``0..SEED_MAX``."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
+        return seeds
+    checked = [operator.index(seed) for seed in seeds]
+    for seed in checked:
+        if not 0 <= seed <= SEED_MAX:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return np.array(checked, dtype=np.uint64)
+
+
+def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """Draw one ``n x n`` matrix of i.i.d. standard Gaussian costs per seed.
 
-    Returns a ``(len(seeds), n, n)`` array.  The generator is pinned so
-    that ``(n, seed)`` determines a matrix bit-for-bit on every platform:
+    ``seeds`` is a sequence of integers or a ``uint64`` array.  Returns a
+    ``(len(seeds), n, n)`` array.  The generator is pinned so that
+    ``(n, seed)`` determines a matrix bit-for-bit on every platform:
 
-    1. a PCG64 stream is seeded with ``seed`` (via numpy's ``SeedSequence``),
+    1. a PCG64 stream is seeded with ``seed`` through numpy's
+       ``SeedSequence`` algorithm; the PCG64 states of a sampling pass are
+       derived in batch (see :func:`_raw_passes`), and the draws equal
+       ``np.random.PCG64(seed)``'s bit for bit,
     2. the first ``n*n`` raw 64-bit outputs are mapped to uniforms through
        their top 53 bits, ``u = ((r >> 11) + 0.5) * 2**-53`` (never 0 or 1),
     3. each ``u`` goes through the inverse normal CDF (Cephes ``ndtri``),
@@ -121,18 +235,14 @@ def sample_cost_entries(n: int, seeds: Sequence[int]) -> np.ndarray:
     Every step is elementwise, so sampling in passes of
     :func:`sample_chunk_size` matrices changes no bit.
     """
-    step = sample_chunk_size(n)
-    for seed in seeds:
-        if not 0 <= seed <= SEED_MAX:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    sample_chunk_size(n)  # rejects a bad size before anything is allocated
+    seeds = _seed_array(seeds)
     out = np.empty((len(seeds), n, n))
-    raw = np.empty((min(step, len(seeds)), n * n), dtype=np.uint64)
-    for start in range(0, len(seeds), step):
-        chunk = seeds[start : start + step]
-        for row, seed in zip(raw, chunk):
-            row[:] = np.random.PCG64(seed).random_raw(n * n)
-        u = ((raw[: len(chunk)] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        ndtri(u, out=out[start : start + len(chunk)].reshape(len(chunk), n * n))
+    start = 0
+    for raw in _raw_passes(n, seeds):
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        ndtri(u, out=out[start : start + len(raw)].reshape(len(raw), n * n))
+        start += len(raw)
     return out
 
 

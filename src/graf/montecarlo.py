@@ -43,14 +43,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 BLOCK_REPLICATIONS = 4096
 
 
-def _splitmix64(z: int) -> int:
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+def _splitmix64(z):
+    """SplitMix64 finalizer of ``z`` in ``0..2**64-1``: an int, or each
+    element of a ``uint64`` array, whose products wrap modulo 2**64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def derive_seed(root: int, *path: int) -> int:
@@ -69,6 +67,17 @@ def derive_seed(root: int, *path: int) -> int:
             raise ValueError("seed path indices must be non-negative")
         s = _splitmix64((s + (index + 1) * _GAMMA) & _MASK64)
     return s
+
+
+def _child_seeds(parent: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(parent, k)`` for ``k`` in ``start..stop-1``, as one
+    ``uint64`` array."""
+    if not 0 <= parent <= SEED_MAX:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {parent}")
+    if start < 0:
+        raise ValueError("seed path indices must be non-negative")
+    k = np.arange(start, stop, dtype=np.uint64)
+    return _splitmix64(k * np.uint64(_GAMMA) + np.uint64((parent + _GAMMA) & _MASK64))
 
 
 @dataclass
@@ -240,8 +249,9 @@ class EstimateReport:
 STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
 
-def replicate_block(n: int, seeds: Sequence[int]) -> np.ndarray:
-    """Sample and solve one cost matrix per seed.
+def replicate_block(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Sample and solve one cost matrix per seed (integers, or a ``uint64``
+    array).
 
     Returns a ``(len(seeds), 5)`` array whose columns follow
     :data:`STAT_KEYS`: the maximum, minimum and greedy field values, the
@@ -272,7 +282,7 @@ def replicate_block(n: int, seeds: Sequence[int]) -> np.ndarray:
 def _replicate_rows(task: tuple[int, int, int, int]) -> np.ndarray:
     """Rows of :func:`replicate_block` for replications ``start..stop-1``."""
     n, master_seed, start, stop = task
-    return replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
+    return replicate_block(n, _child_seeds(master_seed, start, stop))
 
 
 def _row_tasks(n: int, master_seed: int, replications: int):
@@ -456,9 +466,9 @@ def symmetry_check(
     """
     if replications < 100:
         raise ValueError("symmetry check needs at least 100 replications")
-    reps = range(replications)
-    maxima = replicate_block(n, [derive_seed(master_seed, 0, k) for k in reps])[:, 0]
-    minima = replicate_block(n, [derive_seed(master_seed, 1, k) for k in reps])[:, 1]
+    streams = [_child_seeds(derive_seed(master_seed, i), 0, replications) for i in (0, 1)]
+    maxima = replicate_block(n, streams[0])[:, 0]
+    minima = replicate_block(n, streams[1])[:, 1]
     statistic = ks_statistic(-minima, maxima)
     critical = ks_critical_value(replications, replications, alpha)
     return SymmetryReport(

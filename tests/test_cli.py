@@ -178,6 +178,40 @@ class TestRepeatedListValues:
         assert not out.exists()
 
 
+class TestBoundsColumnNames:
+    """Distinct `bounds` values whose column names coincide (names keep 6
+    significant digits) are a usage error that names the flag."""
+
+    @pytest.mark.parametrize(
+        "key, values, name", [("eps", "0.1,0.1000001", "0.1"), ("delta", "0.3,0.3000001", "0.3")]
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_colliding_names_rejected(self, tmp_path, capsys, key, values, name, source):
+        out = tmp_path / "bounds.csv"
+        args = ["bounds", "--n-list", "3", "--out", str(out)]
+        if source == "flag":
+            args += [f"--{key}", values]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}={values}\n")
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        first, second = values.split(",")
+        expected = f"argument --{key}: {first!r} and {second!r} give one column name ({name})"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distinct_names_accepted(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        args = ["--eps", "0.1,0.100001", "--delta", "0.3,0.31", "--out", str(out)]
+        assert main(["bounds", "--n-list", "3", *args]) == 0
+        header, _ = parse_csv_text(out.read_text())
+        assert header[5:] == [
+            "nearmax_eps_0.1", "nearmax_eps_0.100001",
+            "V_delta_0.3", "Vbound_delta_0.3", "V_delta_0.31", "Vbound_delta_0.31",
+        ]
+
+
 class TestConfigFile:
     def test_config_supplies_required_flags(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from graf._permutations import perm_table
 from graf.field import (
+    SEED_MAX,
     CostMatrix,
+    _SEED_BATCH_MIN,
+    _raw_passes,
+    _seed_array,
+    _seed_sequence_words,
     correlation,
     field_value,
     permutation_texts,
     read_matrix_csv,
+    sample_chunk_size,
     sample_cost_matrix,
     write_matrix_csv,
 )
@@ -126,6 +132,65 @@ class TestSampling:
         values = [field_value(sample_cost_matrix(4, seed), u) for seed in range(2000)]
         # Monte Carlo error of the sample variance is ~sqrt(2/2000) ~ 0.032.
         assert abs(np.var(values, ddof=1) - 1.0) < 0.13
+
+
+#: Seeds at the edges of the 32- and 64-bit words SeedSequence hashes.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, SEED_MAX]
+
+
+def assert_raw_draws_match_numpy(n: int, seeds: list[int]) -> None:
+    """Each sampling pass of batched raw draws equals numpy's own PCG64,
+    built per seed, which shares no code with the sampler."""
+    start = passes = 0
+    for raw in _raw_passes(n, _seed_array(seeds)):
+        chunk = seeds[start : start + len(raw)]
+        expected = [np.random.PCG64(seed).random_raw(n * n) for seed in chunk]
+        assert np.array_equal(raw, np.array(expected).reshape(len(chunk), n * n))
+        start += len(raw)
+        passes += 1
+    assert start == len(seeds)
+    assert passes == -(-len(seeds) // sample_chunk_size(n))
+
+
+class TestBatchedSeeding:
+    """The batched SeedSequence -> PCG64 path reproduces numpy bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def seeds(self):
+        drawn = np.random.default_rng(7).integers(0, 2**64, 4096 - len(EDGE_SEEDS), np.uint64)
+        return EDGE_SEEDS + drawn.tolist()
+
+    def test_state_words_match_seed_sequence(self, seeds):
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        assert np.array_equal(_seed_sequence_words(_seed_array(seeds)), np.array(expected))
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 20, 50, 100])
+    def test_raw_draws_match_numpy(self, n, seeds):
+        # At n >= 5 the 4096 seeds span several sampling passes; at n = 100
+        # a pass holds 6 seeds, fewer than a batch.
+        assert sample_chunk_size(100) < _SEED_BATCH_MIN <= sample_chunk_size(50)
+        assert_raw_draws_match_numpy(n, seeds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, SEED_MAX), max_size=40))
+    def test_state_words_match_seed_sequence_on_any_seeds(self, seeds):
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        words = _seed_sequence_words(_seed_array(seeds))
+        assert np.array_equal(words, np.array(expected).reshape(len(seeds), 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.lists(st.integers(0, SEED_MAX), min_size=_SEED_BATCH_MIN - 2, max_size=40),
+    )
+    def test_raw_draws_match_numpy_on_any_seeds(self, n, seeds):
+        # Passes of these sizes fall on both sides of the batch minimum.
+        assert_raw_draws_match_numpy(n, seeds)
+
+    @pytest.mark.parametrize("bad", [1.0, "1"])
+    def test_rejects_non_integer_seeds(self, bad):
+        with pytest.raises(TypeError):
+            _seed_array([0, bad])
 
 
 class TestFieldValue:

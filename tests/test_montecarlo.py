@@ -73,6 +73,24 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(1, -2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, SEED_MAX),
+        st.lists(st.integers(0, 2**32), max_size=3),
+        st.integers(0, 2**62),
+        st.integers(0, 300),
+    )
+    def test_child_seeds_match_scalar(self, root, prefix, start, count):
+        children = montecarlo._child_seeds(derive_seed(root, *prefix), start, start + count)
+        assert children.dtype == np.uint64
+        expected = [derive_seed(root, *prefix, k) for k in range(start, start + count)]
+        assert children.tolist() == expected
+
+    def test_child_seeds_reject_bad_input(self):
+        for parent, start in [(-1, 0), (SEED_MAX + 1, 0), (1, -2)]:
+            with pytest.raises(ValueError):
+                montecarlo._child_seeds(parent, start, start + 3)
+
 
 class TestRunningStats:
     def test_matches_numpy_moments(self, rng):
@@ -244,6 +262,20 @@ class TestReplicateBlock:
     def test_sampler_rejects_any_bad_seed(self, bad):
         with pytest.raises(ValueError, match="64-bit"):
             sample_cost_entries(3, [0, 5, bad, 7])
+
+    @pytest.mark.parametrize("bad", [-1, SEED_MAX + 1])
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+    def test_kernel_rejects_any_bad_seed(self, bad, form):
+        # np.array gives int64 for -1 and an object array for 2**64.
+        for kernel in (replicate_block, sample_cost_entries):
+            with pytest.raises(ValueError, match="64-bit"):
+                kernel(3, form([0, 5, bad, 7]))
+
+    @pytest.mark.parametrize("n", [1, 6, 60])
+    def test_uint64_array_matches_list(self, n):
+        seeds = montecarlo._child_seeds(31, 0, 40)
+        assert seeds.dtype == np.uint64
+        assert np.array_equal(replicate_block(n, seeds), replicate_block(n, seeds.tolist()))
 
 
 class TestEstimate:
