@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from os import PathLike, fspath
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -83,14 +83,6 @@ class CostMatrix:
 
     def __repr__(self) -> str:
         return f"CostMatrix(n={self.n})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CostMatrix):
-            return NotImplemented
-        return self.n == other.n and bool((self._entries == other._entries).all())
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._entries.tobytes()))
 
 
 #: Matrix entries drawn per sampling pass, which bounds the sampler's
@@ -263,35 +255,29 @@ def correlation(u: np.ndarray | Sequence[int], v: np.ndarray | Sequence[int]) ->
     return int((u == _assignment(v, len(u))).sum()) / len(u)
 
 
-def write_matrix_csv(c: CostMatrix, target: str | PathLike[str] | IO[str]) -> None:
-    """Write a cost matrix as CSV: a ``# n=<n>`` header line, then n rows
-    of n floats with 17 significant digits."""
+def write_matrix_csv(c: CostMatrix, path: str | PathLike[str]) -> None:
+    """Write a cost matrix to the file at ``path`` as CSV: a ``# n=<n>``
+    header line, then n rows of n floats with 17 significant digits."""
     lines = [f"# n={c.n}"]
     for row in c.entries:
         lines.append(",".join(format(x, ".17g") for x in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_csv(source: str | PathLike[str] | IO[str]) -> CostMatrix:
-    """Read a cost matrix written by :func:`write_matrix_csv`.
+def read_matrix_csv(path: str | PathLike[str]) -> CostMatrix:
+    """Read a cost matrix written by :func:`write_matrix_csv` from the file
+    at ``path``.
 
-    A malformed file raises ``ValueError``; when ``source`` is a path, the
-    message starts with ``<path>:<line>:``.
+    A malformed file raises ``ValueError`` whose message starts with
+    ``<path>:<line>:``.
     """
-    if hasattr(source, "read"):
-        text, name = source.read(), None  # type: ignore[union-attr]
-    else:
-        # Undecodable bytes become U+FFFD and are reported with their line.
-        with open(source, "r", encoding="ascii", errors="replace") as fh:
-            text, name = fh.read(), fspath(source)
+    # Undecodable bytes become U+FFFD and are reported with their line.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        text = fh.read()
 
     def error(lineno: int, message: str) -> ValueError:
-        return ValueError(message if name is None else f"{name}:{lineno}: {message}")
+        return ValueError(f"{fspath(path)}:{lineno}: {message}")
 
     lines = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -306,7 +292,9 @@ def read_matrix_csv(source: str | PathLike[str] | IO[str]) -> CostMatrix:
     try:
         n = int(header[4:])
     except ValueError:
-        raise error(lineno, f"malformed size header: {header!r}") from None
+        n = 0  # rejected below with the sizes under 1
+    if n < 1:
+        raise error(lineno, f"malformed size header: {header!r}")
     rows = lines[1:]
     if len(rows) != n:
         raise error(lines[-1][0], f"expected {n} rows, found {len(rows)}")

@@ -354,6 +354,7 @@ def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateRepor
     """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
     logger.info("estimate: n=%d replications=%d", n, replications)
     results = run(_replicate_rows, _row_tasks(n, master_seed, replications))
+    stats, cov = [RunningStats() for _ in STAT_KEYS], RunningCovariance()
     greedy_violations = 0
     for block in range(0, replications, BLOCK_REPLICATIONS):
         block_stats = [RunningStats() for _ in STAT_KEYS]
@@ -362,12 +363,9 @@ def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateRepor
             rows = next(results)
             _push_rows(block_stats, block_cov, rows)
             greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
-        # Merging into an empty accumulator copies, so start from block 0.
-        if block == 0:
-            stats, cov = block_stats, block_cov
-        else:
-            stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
-            cov = cov.merge(block_cov)
+        # Merging into an empty accumulator copies, so block 0 passes unchanged.
+        stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
+        cov = cov.merge(block_cov)
     summaries = dict(zip(STAT_KEYS, (accum.summary() for accum in stats)))
     scale = math.sqrt(2.0 * log_factorial(n))
     max_summary = summaries["max_value"]

@@ -106,18 +106,6 @@ def to_csv_text(header: list[str], rows: list[list[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
-    """Parse CSV produced by :func:`to_csv_text` back into string cells."""
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    records = [row for row in reader if row]
-    if not records:
-        raise ValueError("empty CSV")
-    return records[0], records[1:]
-
-
 def atomic_write_text(path: str | PathLike[str], chunks: Iterable[str]) -> None:
     """Write the text chunks in order via a temp file and rename, so a
     failure, also one raised while producing a chunk, leaves no partial

@@ -4,8 +4,9 @@
 solver (Jonker-Volgenant style with dual potentials), which handles
 real-valued costs exactly; the exhaustive solver doubles as its oracle for
 small sizes.  The greedy construction walks the rows in order and takes the
-best still-unused column, which lower-bounds the maximum;
-``greedy_columns`` runs it on a whole batch of matrices at once.
+best still-unused column, which lower-bounds the maximum.
+``greedy_columns`` implements it on a whole batch of matrices at once;
+``greedy_assignment`` runs it on a batch of one.
 """
 
 from __future__ import annotations
@@ -85,24 +86,19 @@ def greedy_assignment(c: CostMatrix) -> SolveResult:
 
     Ties resolve to the smallest available column index.
     """
-    n = c.n
-    entries = c.entries
-    available = list(range(n))
-    columns = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        # argmax picks the first maximum; available stays sorted ascending.
-        pick = int(np.argmax(entries[i, available]))
-        columns[i] = available.pop(pick)
-    return _result(entries, columns)
+    return _result(c.entries, greedy_columns(c.entries[np.newaxis])[0])
 
 
 def greedy_columns(entries: np.ndarray) -> np.ndarray:
-    """:func:`greedy_assignment`'s columns for a ``(B, n, n)`` batch, as a
-    ``(B, n)`` array: each row step is one masked argmax over the batch."""
+    """Greedy columns of each matrix in a ``(B, n, n)`` batch, as a
+    ``(B, n)`` array: row ``i`` of each matrix takes its best still-unused
+    column, the smallest such column under ties.  Each row step is one
+    masked argmax over the batch."""
     columns = np.empty(entries.shape[:2], dtype=np.intp)
     used = np.zeros(entries.shape[:2], dtype=bool)
     batch = np.arange(len(entries))
     for i in range(entries.shape[1]):
+        # argmax takes the first maximum; used columns read -inf, below any cost.
         columns[:, i] = np.where(used, -np.inf, entries[:, i]).argmax(axis=1)
         used[batch, columns[:, i]] = True
     return columns

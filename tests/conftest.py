@@ -59,6 +59,17 @@ def random_matrix(rng: np.random.Generator, n: int) -> CostMatrix:
     return CostMatrix(rng.standard_normal((n, n)))
 
 
+def greedy_oracle(entries: np.ndarray) -> np.ndarray:
+    """Greedy columns of one ``(n, n)`` matrix, a row at a time: row ``i``
+    takes its best still-unused column, the smallest under ties."""
+    available = list(range(len(entries)))
+    columns = np.empty(len(entries), dtype=np.intp)
+    for i, row in enumerate(entries):
+        # argmax picks the first maximum; available stays sorted ascending.
+        columns[i] = available.pop(int(np.argmax(row[available])))
+    return columns
+
+
 def all_permutations(n: int):
     """Independent tiny-scale walk of the group (not the package's table),
     as 0-based column tuples."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -23,11 +24,17 @@ from graf.serialize import (
     atomic_write_text,
     fmt,
     fmt_column,
-    parse_csv_text,
     to_csv_text,
     to_json_text,
 )
 from graf.solvers import solve_max_exact
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV file, as string cells."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 @pytest.fixture
@@ -205,7 +212,7 @@ class TestBoundsColumnNames:
         out = tmp_path / "bounds.csv"
         args = ["--eps", "0.1,0.100001", "--delta", "0.3,0.31", "--out", str(out)]
         assert main(["bounds", "--n-list", "3", *args]) == 0
-        header, _ = parse_csv_text(out.read_text())
+        header, _ = read_csv(out)
         assert header[5:] == [
             "nearmax_eps_0.1", "nearmax_eps_0.100001",
             "V_delta_0.3", "Vbound_delta_0.3", "V_delta_0.31", "Vbound_delta_0.31",
@@ -359,8 +366,10 @@ class TestSolveCommand:
         [
             (b"# n=1\nx\n", ":2: could not convert string to float: 'x'"),
             ("# n=1\n\u00e9\n".encode("utf-8"), ":2: non-ASCII byte at column 1"),
+            (b"# n=0\n", ":1: malformed size header: '# n=0'"),
+            (b"# n=-1\n", ":1: malformed size header: '# n=-1'"),
         ],
-        ids=["not-a-number", "non-ascii"],
+        ids=["not-a-number", "non-ascii", "zero-size", "negative-size"],
     )
     def test_malformed_input_names_file_and_line(self, tmp_path, capsys, data, message):
         matrix = tmp_path / "bad.csv"
@@ -376,7 +385,7 @@ class TestBoundsCommand:
             ["bounds", "--n-list", "2,5,25", "--eps", "0.1", "--delta", "0.3",
              "--out", str(out)]
         ) == 0
-        header, rows = parse_csv_text(out.read_text())
+        header, rows = read_csv(out)
         assert header[:5] == ["n", "upper_E", "trivial_upper_E", "greedy_lower_E", "var_lower"]
         assert "nearmax_eps_0.1" in header and "V_delta_0.3" in header
         by_n = {row[0]: dict(zip(header, row)) for row in rows}
@@ -426,7 +435,7 @@ class TestEstimateCommand:
             ["estimate", "--n", "3", "--reps", "200", "--seed", "5",
              "--workers", "1", "--format", "csv", "--out", str(out)]
         ) == 0
-        header, rows = parse_csv_text(out.read_text())
+        header, rows = read_csv(out)
         assert header == [
             "n", "reps", "mean_M", "se_M", "var_M", "se_var_M", "mean_W",
             "mean_greedy", "mean_gbar", "var_gbar", "cov_gbar_L", "ratio",
@@ -448,7 +457,7 @@ class TestEnumerateCommand:
     def test_row_count_and_values(self, matrix_file, tmp_path):
         out = tmp_path / "fields.csv"
         assert main(["enumerate", "--input", str(matrix_file), "--out", str(out)]) == 0
-        header, rows = parse_csv_text(out.read_text())
+        header, rows = read_csv(out)
         assert header == ["permutation", "field_value"]
         assert len(rows) == math.factorial(4)
         assert rows[0][0] == "1,2,3,4"

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -266,13 +265,12 @@ class TestMetricStructure:
 
 
 class TestSerialization:
-    def test_matrix_round_trip_exact(self):
+    def test_matrix_round_trip_exact(self, tmp_path):
         c = sample_cost_matrix(5, 99)
-        buffer = io.StringIO()
-        write_matrix_csv(c, buffer)
-        text = buffer.getvalue()
-        assert text.startswith("# n=5\n")
-        back = read_matrix_csv(io.StringIO(text))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(c, path)
+        assert path.read_text().startswith("# n=5\n")
+        back = read_matrix_csv(path)
         assert (back.entries == c.entries).all()
 
     def test_matrix_file_round_trip(self, tmp_path):
@@ -281,26 +279,30 @@ class TestSerialization:
         write_matrix_csv(c, path)
         assert (read_matrix_csv(path).entries == c.entries).all()
 
-    def test_read_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            read_matrix_csv(io.StringIO("1,2\n3,4\n"))
-        with pytest.raises(ValueError):
-            read_matrix_csv(io.StringIO("# n=2\n1,2\n"))
-        with pytest.raises(ValueError):
-            read_matrix_csv(io.StringIO("# n=2\n1,2,3\n4,5,6\n"))
+    def test_read_rejects_garbage(self, tmp_path):
+        path = tmp_path / "m.csv"
+        for text in ("1,2\n3,4\n", "# n=2\n1,2\n", "# n=2\n1,2,3\n4,5,6\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_matrix_csv(path)
 
     @pytest.mark.parametrize(
         "text, line, message",
         [
             ("# n=2\n1,2\n\n3,x\n", 4, "could not convert string to float: 'x'"),
             ("\n# n=two\n", 2, "malformed size header: '# n=two'"),
+            ("# n=0\n", 1, "malformed size header: '# n=0'"),
+            ("# n=-1\n", 1, "malformed size header: '# n=-1'"),
             ("1,2\n3,4\n", 1, "must start with a '# n=<n>' line"),
             ("", 1, "must start with a '# n=<n>' line"),
             ("# n=2\n1,2\n", 2, "expected 2 rows, found 1"),
             ("# n=2\n1,2\n3,4,5\n", 3, "row length does not match declared size"),
             ("# n=2\n1,2\n3,nan\n", 3, "cost matrix entries must all be finite"),
         ],
-        ids=["cell", "header", "no-header", "empty", "row-count", "row-length", "non-finite"],
+        ids=[
+            "cell", "header", "zero-size", "negative-size", "no-header", "empty",
+            "row-count", "row-length", "non-finite",
+        ],
     )
     def test_read_errors_name_path_and_line(self, tmp_path, text, line, message):
         path = tmp_path / "m.csv"

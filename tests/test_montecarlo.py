@@ -11,6 +11,7 @@ from graf.enumerator import enumerated_field_mean
 from graf.field import (
     SAMPLE_N_MAX,
     SEED_MAX,
+    field_value,
     sample_chunk_size,
     sample_cost_entries,
     sample_cost_matrix,
@@ -28,7 +29,9 @@ from graf.montecarlo import (
     replicate_block,
     symmetry_check,
 )
-from graf.solvers import greedy_assignment, solve_max_exact, solve_min_exact
+from graf.solvers import solve_max_exact, solve_min_exact
+
+from conftest import greedy_oracle
 
 
 def stats_from(values) -> RunningStats:
@@ -44,14 +47,15 @@ def replication(n: int, seed: int) -> dict[str, float]:
 
 
 def oracle_row(n: int, seed: int) -> list[float]:
-    """A replication built from the scalar sampler and solvers."""
+    """A replication built from the scalar sampler and solvers and the
+    row-loop greedy."""
     c = sample_cost_matrix(n, seed)
     max_value = solve_max_exact(c).field_value
     field_mean = float(c.entries.sum()) / (n * math.sqrt(n))
     return [
         max_value,
         solve_min_exact(c).field_value,
-        greedy_assignment(c).field_value,
+        field_value(c, greedy_oracle(c.entries)),
         field_mean,
         max_value - field_mean,
     ]

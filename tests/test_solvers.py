@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graf.field import CostMatrix
 from graf.solvers import (
     greedy_assignment,
+    greedy_columns,
     solve_max_bruteforce,
     solve_max_exact,
     solve_min_exact,
 )
 
-from conftest import random_matrix, random_permutation
+from conftest import greedy_oracle, random_matrix, random_permutation
 
 
 def diagonal_dominant(n: int, rng) -> CostMatrix:
@@ -142,3 +146,18 @@ class TestGreedy:
             for _ in range(10):
                 c = random_matrix(rng, n)
                 assert greedy_assignment(c).raw_sum <= solve_max_exact(c).raw_sum + 1e-12
+
+
+def small_integer_batches():
+    """Batches of 2 to 5 matrices of size 1 to 9 with entries in -2..2,
+    so that rows tie often."""
+    shapes = st.builds(lambda b, n: (b, n, n), st.integers(2, 5), st.integers(1, 9))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2)))
+
+
+class TestGreedyColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_batches())
+    def test_matches_row_loop_oracle(self, entries):
+        expected = np.array([greedy_oracle(c) for c in entries])
+        assert np.array_equal(greedy_columns(entries), expected)
