@@ -53,14 +53,11 @@ from graf.field import (
 )
 from graf.montecarlo import (
     EstimateReport,
-    RunningCovariance,
-    RunningStats,
     StatSummary,
     SymmetryReport,
     derive_seed,
     estimate,
     ks_statistic,
-    merge_stats,
     ratio_table,
     replicate_block,
     symmetry_check,

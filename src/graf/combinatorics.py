@@ -89,12 +89,16 @@ def ball_size(n: int, delta: float) -> int:
 
 
 def ball_size_upper_bound(n: int, delta: float) -> float:
-    """The bound ``n**(delta*n)``, evaluated as ``exp(delta*n*log(n))``."""
+    """The bound ``n**(delta*n)``, evaluated as ``exp(delta*n*log(n))``;
+    ``inf`` where that exceeds the largest float."""
     if n < 1:
         raise ValueError("size must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.exp(delta * n * math.log(n))
+    try:
+        return math.exp(delta * n * math.log(n))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

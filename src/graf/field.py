@@ -289,10 +289,13 @@ def read_matrix_csv(path: str | PathLike[str]) -> CostMatrix:
     lineno, header = lines[0] if lines else (1, "")
     if not header.startswith("# n="):
         raise error(lineno, "cost matrix CSV must start with a '# n=<n>' line")
+    size = header[4:]
     try:
-        n = int(header[4:])
-    except ValueError:
-        n = 0  # rejected below with the sizes under 1
+        # ASCII digits only (the text is ASCII here): int() would also
+        # take a sign, spaces and underscores.
+        n = int(size) if size.isdigit() else 0
+    except ValueError:  # past int()'s digit limit
+        n = 0
     if n < 1:
         raise error(lineno, f"malformed size header: {header!r}")
     rows = lines[1:]

@@ -21,7 +21,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -78,138 +78,6 @@ def _child_seeds(parent: int, start: int, stop: int) -> np.ndarray:
         raise ValueError("seed path indices must be non-negative")
     k = np.arange(start, stop, dtype=np.uint64)
     return _splitmix64(k * np.uint64(_GAMMA) + np.uint64((parent + _GAMMA) & _MASK64))
-
-
-@dataclass
-class RunningStats:
-    """Streaming central moments: count, mean, and 2nd-4th moment sums.
-
-    ``m2``..``m4`` are sums of powers of deviations from the running mean;
-    merging two accumulators reproduces the single-stream result up to
-    roundoff.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    m3: float = 0.0
-    m4: float = 0.0
-
-    def push(self, x: float) -> None:
-        n1 = self.count
-        self.count = n = n1 + 1
-        delta = x - self.mean
-        delta_n = delta / n
-        delta_n2 = delta_n * delta_n
-        term1 = delta * delta_n * n1
-        self.mean += delta_n
-        self.m4 += (
-            term1 * delta_n2 * (n * n - 3 * n + 3)
-            + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3
-        )
-        self.m3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * self.m2
-        self.m2 += term1
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; requires at least two observations."""
-        if self.count < 2:
-            raise ValueError("variance needs at least 2 observations")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def mean_std_error(self) -> float:
-        return math.sqrt(self.variance / self.count)
-
-    @property
-    def variance_std_error(self) -> float:
-        """Standard error of the sample variance via the fourth moment."""
-        n = self.count
-        if n < 2:
-            raise ValueError("variance standard error needs at least 2 observations")
-        m4c = self.m4 / n
-        s2 = self.variance
-        var_of_var = (m4c - s2 * s2 * (n - 3) / (n - 1)) / n
-        return math.sqrt(max(var_of_var, 0.0))
-
-    def summary(self) -> "StatSummary":
-        return StatSummary(
-            mean=self.mean,
-            variance=self.variance,
-            mean_std_error=self.mean_std_error,
-            variance_std_error=self.variance_std_error,
-        )
-
-
-def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
-    """Combine two accumulators as if their streams were concatenated."""
-    if a.count == 0:
-        return RunningStats(b.count, b.mean, b.m2, b.m3, b.m4)
-    if b.count == 0:
-        return RunningStats(a.count, a.mean, a.m2, a.m3, a.m4)
-    na, nb = a.count, b.count
-    n = na + nb
-    delta = b.mean - a.mean
-    d2 = delta * delta
-    mean = a.mean + delta * nb / n
-    m2 = a.m2 + b.m2 + d2 * na * nb / n
-    m3 = (
-        a.m3
-        + b.m3
-        + d2 * delta * na * nb * (na - nb) / (n * n)
-        + 3.0 * delta * (na * b.m2 - nb * a.m2) / n
-    )
-    m4 = (
-        a.m4
-        + b.m4
-        + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / (n**3)
-        + 6.0 * d2 * (na * na * b.m2 + nb * nb * a.m2) / (n * n)
-        + 4.0 * delta * (na * b.m3 - nb * a.m3) / n
-    )
-    return RunningStats(n, mean, m2, m3, m4)
-
-
-@dataclass
-class RunningCovariance:
-    """Streaming covariance accumulator for a pair of statistics."""
-
-    count: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    comoment: float = 0.0
-
-    def push(self, x: float, y: float) -> None:
-        self.count += 1
-        dx = x - self.mean_x
-        self.mean_x += dx / self.count
-        self.mean_y += (y - self.mean_y) / self.count
-        # dx uses the pre-update mean, the y factor the post-update mean.
-        self.comoment += dx * (y - self.mean_y)
-
-    @property
-    def covariance(self) -> float:
-        if self.count < 2:
-            raise ValueError("covariance needs at least 2 observations")
-        return self.comoment / (self.count - 1)
-
-    def merge(self, other: "RunningCovariance") -> "RunningCovariance":
-        if self.count == 0:
-            return RunningCovariance(
-                other.count, other.mean_x, other.mean_y, other.comoment
-            )
-        if other.count == 0:
-            return RunningCovariance(self.count, self.mean_x, self.mean_y, self.comoment)
-        na, nb = self.count, other.count
-        n = na + nb
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        return RunningCovariance(
-            count=n,
-            mean_x=self.mean_x + dx * nb / n,
-            mean_y=self.mean_y + dy * nb / n,
-            comoment=self.comoment + other.comoment + dx * dy * na * nb / n,
-        )
 
 
 @dataclass(frozen=True)
@@ -300,13 +168,101 @@ def _row_task_count(n: int, replications: int) -> int:
     return sum(1 for _ in _row_tasks(n, 0, replications))
 
 
-def _push_rows(stats: list[RunningStats], cov: RunningCovariance, rows: np.ndarray) -> None:
-    """Push :func:`replicate_block` rows, in order, into one accumulator per
-    statistic and the field-mean/residual covariance."""
-    for row in rows.tolist():
-        for accum, value in zip(stats, row):
-            accum.push(value)
-        cov.push(row[3], row[4])
+def _zeros() -> list[float]:
+    return [0.0] * len(STAT_KEYS)
+
+
+@dataclass
+class _RowMoments:
+    """Streaming moments of :func:`replicate_block` rows.
+
+    Per column: the mean and the sums ``m2``..``m4`` of powers of
+    deviations from it; and the field-mean/residual co-moment (columns 3
+    and 4).  Pushes are Welford updates and merges Pébay's pairwise
+    formulas, so a merge reproduces the concatenated stream up to
+    roundoff.
+    """
+
+    count: int = 0
+    mean: list[float] = field(default_factory=_zeros)
+    m2: list[float] = field(default_factory=_zeros)
+    m3: list[float] = field(default_factory=_zeros)
+    m4: list[float] = field(default_factory=_zeros)
+    comoment: float = 0.0
+
+    def push(self, rows: np.ndarray) -> None:
+        """Push ``rows``, in order."""
+        mean, m2, m3, m4 = self.mean, self.m2, self.m3, self.m4
+        n = self.count
+        for row in rows.tolist():
+            n1, n = n, n + 1
+            a4, a3 = n * n - 3 * n + 3, n - 2
+            # The co-moment takes column 3's deviation from the mean before
+            # the update and column 4's from the mean after it.
+            dx = row[3] - mean[3]
+            for j, x in enumerate(row):
+                delta = x - mean[j]
+                delta_n = delta / n
+                delta_n2 = delta_n * delta_n
+                term1 = delta * delta_n * n1
+                mean[j] += delta_n
+                m4[j] += term1 * delta_n2 * a4 + 6.0 * delta_n2 * m2[j] - 4.0 * delta_n * m3[j]
+                m3[j] += term1 * delta_n * a3 - 3.0 * delta_n * m2[j]
+                m2[j] += term1
+            self.comoment += dx * (row[4] - mean[4])
+        self.count = n
+
+    def merge(self, other: "_RowMoments") -> None:
+        """Append ``other``'s stream to this one; an empty side copies."""
+        if self.count == 0:
+            self.count, self.comoment = other.count, other.comoment
+            self.mean, self.m2 = other.mean[:], other.m2[:]
+            self.m3, self.m4 = other.m3[:], other.m4[:]
+            return
+        if other.count == 0:
+            return
+        na, nb = self.count, other.count
+        n = na + nb
+        deltas = [b - a for a, b in zip(self.mean, other.mean)]
+        self.comoment = self.comoment + other.comoment + deltas[3] * deltas[4] * na * nb / n
+        for j, delta in enumerate(deltas):
+            d2 = delta * delta
+            a2, a3, b2, b3 = self.m2[j], self.m3[j], other.m2[j], other.m3[j]
+            self.mean[j] += delta * nb / n
+            self.m2[j] = a2 + b2 + d2 * na * nb / n
+            self.m3[j] = (
+                a3
+                + b3
+                + d2 * delta * na * nb * (na - nb) / (n * n)
+                + 3.0 * delta * (na * b2 - nb * a2) / n
+            )
+            self.m4[j] = (
+                self.m4[j]
+                + other.m4[j]
+                + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / (n**3)
+                + 6.0 * d2 * (na * na * b2 + nb * nb * a2) / (n * n)
+                + 4.0 * delta * (na * b3 - nb * a3) / n
+            )
+        self.count = n
+
+    def summaries(self) -> dict[str, StatSummary]:
+        """One :class:`StatSummary` per column, keyed by :data:`STAT_KEYS`;
+        the variance is unbiased and its standard error comes from the
+        fourth moment."""
+        n = self.count
+        summaries = {}
+        for key, mean, m2, m4 in zip(STAT_KEYS, self.mean, self.m2, self.m4):
+            variance = m2 / (n - 1)
+            var_of_var = (m4 / n - variance * variance * (n - 3) / (n - 1)) / n
+            summaries[key] = StatSummary(
+                mean, variance, math.sqrt(variance / n), math.sqrt(max(var_of_var, 0.0))
+            )
+        return summaries
+
+    @property
+    def covariance(self) -> float:
+        """Unbiased field-mean/residual covariance."""
+        return self.comoment / (self.count - 1)
 
 
 #: Tasks a pool worker may have submitted and not yet consumed: enough to
@@ -354,19 +310,17 @@ def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateRepor
     """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
     logger.info("estimate: n=%d replications=%d", n, replications)
     results = run(_replicate_rows, _row_tasks(n, master_seed, replications))
-    stats, cov = [RunningStats() for _ in STAT_KEYS], RunningCovariance()
+    moments = _RowMoments()
     greedy_violations = 0
     for block in range(0, replications, BLOCK_REPLICATIONS):
-        block_stats = [RunningStats() for _ in STAT_KEYS]
-        block_cov = RunningCovariance()
-        while block_cov.count < min(BLOCK_REPLICATIONS, replications - block):
+        block_moments = _RowMoments()
+        while block_moments.count < min(BLOCK_REPLICATIONS, replications - block):
             rows = next(results)
-            _push_rows(block_stats, block_cov, rows)
+            block_moments.push(rows)
             greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
         # Merging into an empty accumulator copies, so block 0 passes unchanged.
-        stats = [merge_stats(a, b) for a, b in zip(stats, block_stats)]
-        cov = cov.merge(block_cov)
-    summaries = dict(zip(STAT_KEYS, (accum.summary() for accum in stats)))
+        moments.merge(block_moments)
+    summaries = moments.summaries()
     scale = math.sqrt(2.0 * log_factorial(n))
     max_summary = summaries["max_value"]
     ratio = max_summary.mean / scale if scale > 0.0 else math.nan
@@ -378,7 +332,7 @@ def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateRepor
         **summaries,
         ratio=ratio,
         ratio_std_error=ratio_se,
-        cov_field_mean_residual=cov.covariance,
+        cov_field_mean_residual=moments.covariance,
         greedy_violations=greedy_violations,
     )
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from graf import montecarlo
 from graf.field import CostMatrix
+from graf.montecarlo import StatSummary
 
 
 @pytest.fixture
@@ -74,3 +77,139 @@ def all_permutations(n: int):
     """Independent tiny-scale walk of the group (not the package's table),
     as 0-based column tuples."""
     yield from itertools.permutations(range(n))
+
+
+# Scalar streaming moments, one value at a time: the oracle for the
+# fused accumulator montecarlo._RowMoments.
+
+
+@dataclass
+class RunningStats:
+    """Streaming central moments: count, mean, and 2nd-4th moment sums.
+
+    ``m2``..``m4`` are sums of powers of deviations from the running mean;
+    merging two accumulators reproduces the single-stream result up to
+    roundoff.
+    """
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    m3: float = 0.0
+    m4: float = 0.0
+
+    def push(self, x: float) -> None:
+        n1 = self.count
+        self.count = n = n1 + 1
+        delta = x - self.mean
+        delta_n = delta / n
+        delta_n2 = delta_n * delta_n
+        term1 = delta * delta_n * n1
+        self.mean += delta_n
+        self.m4 += (
+            term1 * delta_n2 * (n * n - 3 * n + 3)
+            + 6.0 * delta_n2 * self.m2
+            - 4.0 * delta_n * self.m3
+        )
+        self.m3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * self.m2
+        self.m2 += term1
+
+    @property
+    def variance(self) -> float:
+        """Unbiased sample variance; requires at least two observations."""
+        if self.count < 2:
+            raise ValueError("variance needs at least 2 observations")
+        return self.m2 / (self.count - 1)
+
+    @property
+    def mean_std_error(self) -> float:
+        return math.sqrt(self.variance / self.count)
+
+    @property
+    def variance_std_error(self) -> float:
+        """Standard error of the sample variance via the fourth moment."""
+        n = self.count
+        if n < 2:
+            raise ValueError("variance standard error needs at least 2 observations")
+        m4c = self.m4 / n
+        s2 = self.variance
+        var_of_var = (m4c - s2 * s2 * (n - 3) / (n - 1)) / n
+        return math.sqrt(max(var_of_var, 0.0))
+
+    def summary(self) -> "StatSummary":
+        return StatSummary(
+            mean=self.mean,
+            variance=self.variance,
+            mean_std_error=self.mean_std_error,
+            variance_std_error=self.variance_std_error,
+        )
+
+
+def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
+    """Combine two accumulators as if their streams were concatenated."""
+    if a.count == 0:
+        return RunningStats(b.count, b.mean, b.m2, b.m3, b.m4)
+    if b.count == 0:
+        return RunningStats(a.count, a.mean, a.m2, a.m3, a.m4)
+    na, nb = a.count, b.count
+    n = na + nb
+    delta = b.mean - a.mean
+    d2 = delta * delta
+    mean = a.mean + delta * nb / n
+    m2 = a.m2 + b.m2 + d2 * na * nb / n
+    m3 = (
+        a.m3
+        + b.m3
+        + d2 * delta * na * nb * (na - nb) / (n * n)
+        + 3.0 * delta * (na * b.m2 - nb * a.m2) / n
+    )
+    m4 = (
+        a.m4
+        + b.m4
+        + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / (n**3)
+        + 6.0 * d2 * (na * na * b.m2 + nb * nb * a.m2) / (n * n)
+        + 4.0 * delta * (na * b.m3 - nb * a.m3) / n
+    )
+    return RunningStats(n, mean, m2, m3, m4)
+
+
+@dataclass
+class RunningCovariance:
+    """Streaming covariance accumulator for a pair of statistics."""
+
+    count: int = 0
+    mean_x: float = 0.0
+    mean_y: float = 0.0
+    comoment: float = 0.0
+
+    def push(self, x: float, y: float) -> None:
+        self.count += 1
+        dx = x - self.mean_x
+        self.mean_x += dx / self.count
+        self.mean_y += (y - self.mean_y) / self.count
+        # dx uses the pre-update mean, the y factor the post-update mean.
+        self.comoment += dx * (y - self.mean_y)
+
+    @property
+    def covariance(self) -> float:
+        if self.count < 2:
+            raise ValueError("covariance needs at least 2 observations")
+        return self.comoment / (self.count - 1)
+
+    def merge(self, other: "RunningCovariance") -> "RunningCovariance":
+        if self.count == 0:
+            return RunningCovariance(
+                other.count, other.mean_x, other.mean_y, other.comoment
+            )
+        if other.count == 0:
+            return RunningCovariance(self.count, self.mean_x, self.mean_y, self.comoment)
+        na, nb = self.count, other.count
+        n = na + nb
+        dx = other.mean_x - self.mean_x
+        dy = other.mean_y - self.mean_y
+        return RunningCovariance(
+            count=n,
+            mean_x=self.mean_x + dx * nb / n,
+            mean_y=self.mean_y + dy * nb / n,
+            comoment=self.comoment + other.comoment + dx * dy * na * nb / n,
+        )

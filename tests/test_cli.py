@@ -368,8 +368,9 @@ class TestSolveCommand:
             ("# n=1\n\u00e9\n".encode("utf-8"), ":2: non-ASCII byte at column 1"),
             (b"# n=0\n", ":1: malformed size header: '# n=0'"),
             (b"# n=-1\n", ":1: malformed size header: '# n=-1'"),
+            (b"# n=+1\n0.5\n", ":1: malformed size header: '# n=+1'"),
         ],
-        ids=["not-a-number", "non-ascii", "zero-size", "negative-size"],
+        ids=["not-a-number", "non-ascii", "zero-size", "negative-size", "plus-size"],
     )
     def test_malformed_input_names_file_and_line(self, tmp_path, capsys, data, message):
         matrix = tmp_path / "bad.csv"
@@ -393,6 +394,13 @@ class TestBoundsCommand:
         # Exact counting is capped; larger sizes leave the cell empty.
         assert by_n["25"]["V_delta_0.3"] == ""
         assert float(by_n["25"]["Vbound_delta_0.3"]) > 0
+
+    def test_bound_beyond_float_range_reads_inf(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--n-list", "5,200", "--delta", "0.9", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        column = header.index("Vbound_delta_0.9")
+        assert [row[column] for row in rows] == ["1397.5424859373675", "inf"]
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["bounds", "--n-list", "3"]) == 0

@@ -131,6 +131,11 @@ class TestBallSize:
         assert ball_size_upper_bound(10, 0.5) == pytest.approx(10**5, rel=1e-12)
         assert ball_size_upper_bound(1, 0.5) == 1.0
 
+    def test_upper_bound_beyond_float_range_is_inf(self):
+        # 0.9 * 200 * ln 200 = 953.7 > ln(largest float) = 709.78.
+        assert ball_size_upper_bound(200, 0.9) == math.inf
+        assert ball_size_upper_bound(150, 0.9) == math.exp(0.9 * 150 * math.log(150))
+
     def test_rejects_bad_delta(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):

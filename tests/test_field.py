@@ -293,6 +293,9 @@ class TestSerialization:
             ("\n# n=two\n", 2, "malformed size header: '# n=two'"),
             ("# n=0\n", 1, "malformed size header: '# n=0'"),
             ("# n=-1\n", 1, "malformed size header: '# n=-1'"),
+            ("# n=0_1\n0.5\n", 1, "malformed size header: '# n=0_1'"),
+            ("# n=+1\n0.5\n", 1, "malformed size header: '# n=+1'"),
+            ("# n= 1\n0.5\n", 1, "malformed size header: '# n= 1'"),
             ("1,2\n3,4\n", 1, "must start with a '# n=<n>' line"),
             ("", 1, "must start with a '# n=<n>' line"),
             ("# n=2\n1,2\n", 2, "expected 2 rows, found 1"),
@@ -300,7 +303,8 @@ class TestSerialization:
             ("# n=2\n1,2\n3,nan\n", 3, "cost matrix entries must all be finite"),
         ],
         ids=[
-            "cell", "header", "zero-size", "negative-size", "no-header", "empty",
+            "cell", "header", "zero-size", "negative-size", "underscore-size",
+            "plus-size", "space-size", "no-header", "empty",
             "row-count", "row-length", "non-finite",
         ],
     )

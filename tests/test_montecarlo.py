@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
 from graf import montecarlo
@@ -18,20 +20,17 @@ from graf.field import (
 )
 from graf.montecarlo import (
     STAT_KEYS,
-    RunningCovariance,
-    RunningStats,
     derive_seed,
     estimate,
     ks_critical_value,
     ks_statistic,
-    merge_stats,
     ratio_table,
     replicate_block,
     symmetry_check,
 )
 from graf.solvers import solve_max_exact, solve_min_exact
 
-from conftest import greedy_oracle
+from conftest import RunningCovariance, RunningStats, greedy_oracle, merge_stats
 
 
 def stats_from(values) -> RunningStats:
@@ -39,6 +38,31 @@ def stats_from(values) -> RunningStats:
     for x in values:
         s.push(float(x))
     return s
+
+
+def oracle_moments(stats: list[RunningStats], cov: RunningCovariance):
+    """The fused row accumulator that one scalar accumulator per column and
+    the field-mean/residual covariance predict."""
+    assert [s.count for s in stats] == [cov.count] * len(STAT_KEYS)
+    assert (cov.mean_x, cov.mean_y) == (stats[3].mean, stats[4].mean)
+    return montecarlo._RowMoments(
+        cov.count,
+        [s.mean for s in stats],
+        [s.m2 for s in stats],
+        [s.m3 for s in stats],
+        [s.m4 for s in stats],
+        cov.comoment,
+    )
+
+
+def scalar_push(rows: np.ndarray) -> tuple[list[RunningStats], RunningCovariance]:
+    """``rows`` pushed a value at a time into the scalar oracle."""
+    stats, cov = [RunningStats() for _ in STAT_KEYS], RunningCovariance()
+    for row in rows.tolist():
+        for accum, value in zip(stats, row):
+            accum.push(value)
+        cov.push(row[3], row[4])
+    return stats, cov
 
 
 def replication(n: int, seed: int) -> dict[str, float]:
@@ -180,6 +204,54 @@ class TestRunningCovariance:
         assert merged.covariance == pytest.approx(np.cov(x, y, ddof=1)[0, 1], rel=1e-10)
 
 
+class TestRowMoments:
+    """The fused row accumulator equals the scalar oracle bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 30), st.just(len(STAT_KEYS))),
+            elements=st.floats(-1e3, 1e3),
+        ),
+        st.data(),
+    )
+    def test_matches_scalar_oracle(self, rows, data):
+        split = data.draw(st.integers(0, len(rows)), label="split")
+        left, right = montecarlo._RowMoments(), montecarlo._RowMoments()
+        left.push(rows[:split])
+        right.push(rows[split:])
+        left_stats, left_cov = scalar_push(rows[:split])
+        right_stats, right_cov = scalar_push(rows[split:])
+        assert left == oracle_moments(left_stats, left_cov)
+        assert right == oracle_moments(right_stats, right_cov)
+
+        # A second push continues the stream.
+        pushed = montecarlo._RowMoments()
+        pushed.push(rows[:split])
+        pushed.push(rows[split:])
+        assert pushed == oracle_moments(*scalar_push(rows))
+
+        left.merge(right)
+        stats = [merge_stats(a, b) for a, b in zip(left_stats, right_stats)]
+        cov = left_cov.merge(right_cov)
+        assert left == oracle_moments(stats, cov)
+        if len(rows) >= 2:
+            assert left.summaries() == {k: s.summary() for k, s in zip(STAT_KEYS, stats)}
+            assert left.covariance == cov.covariance
+
+    def test_merge_into_empty_copies(self, rng):
+        # The merged accumulator shares no list with its source.
+        full = montecarlo._RowMoments()
+        full.push(rng.standard_normal((7, len(STAT_KEYS))))
+        snapshot = copy.deepcopy(full)
+        merged = montecarlo._RowMoments()
+        merged.merge(full)
+        assert merged == full
+        merged.push(np.ones((1, len(STAT_KEYS))))
+        assert full == snapshot
+
+
 class TestRunReplication:
     def test_degenerate_size(self):
         s = replication(1, 123)
@@ -250,17 +322,10 @@ class TestReplicateBlock:
     def test_block_accumulators_push_rows_in_order(self):
         n, master_seed, start, stop = 5, 77, 3, 260
         rows = replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
-        stats, cov = [RunningStats() for _ in STAT_KEYS], RunningCovariance()
-        montecarlo._push_rows(stats, cov, rows)
-        expected = [RunningStats() for _ in STAT_KEYS]
-        expected_cov = RunningCovariance()
-        for k in range(start, stop):
-            row = oracle_row(n, derive_seed(master_seed, k))
-            for accum, value in zip(expected, row):
-                accum.push(value)
-            expected_cov.push(row[3], row[4])
-        assert stats == expected
-        assert cov == expected_cov
+        moments = montecarlo._RowMoments()
+        moments.push(rows)
+        expected = [oracle_row(n, derive_seed(master_seed, k)) for k in range(start, stop)]
+        assert moments == oracle_moments(*scalar_push(np.array(expected)))
 
     @pytest.mark.parametrize("bad", [-1, SEED_MAX + 1])
     def test_sampler_rejects_any_bad_seed(self, bad):
@@ -347,10 +412,7 @@ class TestEstimate:
             rows = replicate_block(
                 n, [derive_seed(seed, k) for k in range(start, min(start + block, reps))]
             )
-            block_stats = [stats_from(column) for column in rows.T]
-            block_cov = RunningCovariance()
-            for field_mean, residual in rows[:, 3:].tolist():
-                block_cov.push(field_mean, residual)
+            block_stats, block_cov = scalar_push(rows)
             if start == 0:
                 stats, cov = block_stats, block_cov
             else:
