@@ -12,7 +12,6 @@ sets for small ``n``, and evaluates the matching closed-form bounds.
 from types import ModuleType as _ModuleType
 
 from graf.bounds import (
-    NearMaxBound,
     expected_max_iid_gaussian,
     greedy_lower_bound,
     nearmax_regime_threshold,
@@ -22,7 +21,6 @@ from graf.bounds import (
     variance_lower_bound,
 )
 from graf.combinatorics import (
-    RencontresTable,
     ball_size,
     ball_size_upper_bound,
     derangement_count,
@@ -54,13 +52,10 @@ from graf.field import (
 from graf.montecarlo import (
     EstimateReport,
     StatSummary,
-    SymmetryReport,
     derive_seed,
     estimate,
-    ks_statistic,
     ratio_table,
     replicate_block,
-    symmetry_check,
 )
 from graf.solvers import (
     SolveResult,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 from scipy.special import log_ndtr
@@ -111,30 +110,14 @@ def nearmax_regime_threshold(n: int) -> float:
     return 1.0 / math.sqrt(2.0 * n * math.log(n))
 
 
-@dataclass(frozen=True)
-class NearMaxBound:
-    """One evaluation of the near-maximal-set bound.
-
-    ``regime`` is ``"small"`` when ``epsilon <= (2 n log n)**-0.5`` (the
-    boundary counts as small) and ``"large"`` otherwise; the universal
-    constants are supplied by the caller, never invented here.
-    """
-
-    n: int
-    epsilon: float
-    regime: str
-    bound_value: float
-    c_small: float
-    c_large: float
-
-
 def nearmax_theorem_bound(
     n: int, eps: float, c_small: float = 1.0, c_large: float = 1.0
-) -> NearMaxBound:
+) -> float:
     """Bound on the expected log-size of the near-maximal set.
 
-    ``c_small * (n log n)**(3/4)`` in the small-epsilon regime and
-    ``c_large * sqrt(eps) * n log n`` in the large-epsilon regime.
+    ``c_small * (n log n)**(3/4)`` in the small-epsilon regime, ``eps <=
+    nearmax_regime_threshold(n)``, and ``c_large * sqrt(eps) * n log n``
+    in the large-epsilon regime, with the caller's constants.
 
     The bound is asymptotic and its constants are unspecified universal
     ones, so no finite-``n`` value follows from it.  Divided by
@@ -150,5 +133,5 @@ def nearmax_theorem_bound(
         raise ValueError("bound constants must be positive")
     nlogn = n * math.log(n)
     if eps <= nearmax_regime_threshold(n):
-        return NearMaxBound(n, eps, "small", c_small * nlogn**0.75, c_small, c_large)
-    return NearMaxBound(n, eps, "large", c_large * math.sqrt(eps) * nlogn, c_small, c_large)
+        return c_small * nlogn**0.75
+    return c_large * math.sqrt(eps) * nlogn

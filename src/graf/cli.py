@@ -29,12 +29,7 @@ from graf.bounds import (
     upper_bound_expected_max,
     variance_lower_bound,
 )
-from graf.combinatorics import (
-    EXACT_N_MAX,
-    RencontresTable,
-    ball_size,
-    ball_size_upper_bound,
-)
+from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, rencontres_count
 from graf.enumerator import (
     ENUM_N_MAX,
     HISTOGRAM_N_MAX,
@@ -359,9 +354,7 @@ def _cmd_bounds(config: argparse.Namespace) -> int:
     def nearmax(eps: float):
         c_small, c_large = config.c_small, config.c_large
         return lambda n: (
-            nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large).bound_value
-            if n >= 2
-            else ""
+            nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large) if n >= 2 else ""
         )
 
     columns = list(_BOUNDS_COLUMNS.items())
@@ -470,11 +463,11 @@ def _cmd_verify(config: argparse.Namespace) -> int:
                 f"counts={ball.counts} closed_form={ball.expected} "
                 f"bound={fmt(ball.upper_bound)}",
             )
-        table = correlation_histogram_exact(n)
+        counts = correlation_histogram_exact(n)
         check(
             f"agreement histogram n={n}",
-            table.counts == RencontresTable.for_size(n).counts,
-            f"counts={table.counts}",
+            counts == tuple(rencontres_count(n, k) for k in range(n + 1)),
+            f"counts={counts}",
         )
         matrix = sample_cost_matrix(n, derive_seed(config.seed, n, 2))
         closed = float(matrix.entries.sum()) / (n * math.sqrt(n))
@@ -519,6 +512,18 @@ def run(config: argparse.Namespace) -> int:
     return _COMMANDS[config.subcommand](config)
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Fail before any work when ``--out`` cannot be written: it must not
+    be a directory, and its directory must exist and be writable."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise OSError(f"cannot write --out {out!r}: it is a directory")
+    directory = os.path.dirname(out) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write --out {out!r}: no writable directory {directory!r}")
+
+
 def _configure_logging() -> None:
     raw = os.environ.get("GRAF_LOG", "warn").lower()
     if raw not in _LOG_LEVELS:
@@ -540,6 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _configure_logging()
         config = parse_args(list(argv))
+        _check_out_dir(config.out)
         status = run(config)
     except UsageError as exc:
         print(f"graf: error: {exc}", file=sys.stderr)

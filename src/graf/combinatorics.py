@@ -11,7 +11,6 @@ correlation with a reference exceeds ``1 - delta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -99,35 +98,3 @@ def ball_size_upper_bound(n: int, delta: float) -> float:
         return math.exp(delta * n * math.log(n))
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class RencontresTable:
-    """Agreement-count histogram of the symmetric group of size ``n``.
-
-    ``counts[k]`` is the number of permutations with exactly ``k``
-    agreements relative to a fixed reference.
-    """
-
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if self.n < 1:
-            raise ValueError("size must be at least 1")
-        if len(self.counts) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if sum(self.counts) != math.factorial(self.n):
-            raise ValueError("counts must sum to n!")
-        if self.n >= 2 and self.counts[self.n - 1] != 0:
-            raise ValueError("exactly n-1 fixed points is impossible")
-        if self.counts[self.n] != 1:
-            raise ValueError("exactly n fixed points must count the reference only")
-
-    @classmethod
-    def for_size(cls, n: int) -> "RencontresTable":
-        """Table built from the closed-form counts (n <= 20)."""
-        return cls(n, tuple(rencontres_count(n, k) for k in range(n + 1)))

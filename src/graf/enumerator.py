@@ -17,12 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from graf._permutations import BLOCK_ROWS, perm_table, raw_sum_blocks
-from graf.combinatorics import (
-    RencontresTable,
-    ball_size,
-    ball_size_upper_bound,
-    in_correlation_ball,
-)
+from graf.combinatorics import ball_size, ball_size_upper_bound, in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
     _child_seeds,
@@ -191,6 +186,8 @@ def nearmax_table(
         raise ValueError("need at least 2 replications")
     if m_reps < 2:
         raise ValueError(f"m_reps must be at least 2, got {m_reps}")
+    if c_small <= 0.0 or c_large <= 0.0:
+        raise ValueError("bound constants must be positive")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
     # One counting task walks about BLOCK_ROWS assignments.
     per_task = {n: max(1, BLOCK_ROWS // math.factorial(n)) for n in n_list}
@@ -255,19 +252,19 @@ def nearmax_table(
 
 def correlation_histogram_exact(
     n: int, reference: np.ndarray | Sequence[int] | None = None
-) -> RencontresTable:
+) -> tuple[int, ...]:
     """Exact agreement histogram of the group against a reference.
 
-    Counts, for every ``k``, the permutations sharing exactly ``k``
-    positions with the reference, a 0-based column array (identity by
-    default); the histogram does not depend on the reference.
+    Item ``k`` counts the permutations sharing exactly ``k`` positions with
+    the reference, a 0-based column array (identity by default); the
+    histogram does not depend on the reference, and equals the rencontres
+    counts ``C(n, k) * D_{n-k}``.
     """
     if not 1 <= n <= HISTOGRAM_N_MAX:
         raise ValueError(f"exact histograms are capped at n={HISTOGRAM_N_MAX}")
     ref = np.arange(n) if reference is None else _assignment(reference, n)
     agreements = (perm_table(n) == ref[np.newaxis, :]).sum(axis=1)
-    counts = np.bincount(agreements, minlength=n + 1)
-    return RencontresTable(n, tuple(int(x) for x in counts))
+    return tuple(np.bincount(agreements, minlength=n + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -294,13 +291,9 @@ def verify_ball_size(n: int, delta: float, seed: int = 0) -> BallSizeCheck:
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, n)))
     counts = []
     for _ in range(3):
-        table = correlation_histogram_exact(n, rng.permutation(n))
+        histogram = correlation_histogram_exact(n, rng.permutation(n))
         counts.append(
-            sum(
-                table.counts[k]
-                for k in range(1, n + 1)
-                if in_correlation_ball(k, n, delta)
-            )
+            sum(histogram[k] for k in range(1, n + 1) if in_correlation_ball(k, n, delta))
         )
     expected = ball_size(n, delta)
     upper = ball_size_upper_bound(n, delta)

@@ -302,6 +302,7 @@ def read_matrix_csv(path: str | PathLike[str]) -> CostMatrix:
     if len(rows) != n:
         raise error(lines[-1][0], f"expected {n} rows, found {len(rows)}")
     entries = []
+    largest, largest_line = 0.0, 0
     for lineno, row in rows:
         try:
             values = [float(cell) for cell in row.split(",")]
@@ -311,5 +312,14 @@ def read_matrix_csv(path: str | PathLike[str]) -> CostMatrix:
             raise error(lineno, "row length does not match declared size")
         if not all(map(math.isfinite, values)):
             raise error(lineno, "cost matrix entries must all be finite")
+        top = max(map(abs, values))
+        if top > largest:
+            largest, largest_line = top, lineno
         entries.append(values)
+    # n * max|c| bounds every assignment sum, so a finite bound keeps all
+    # sums finite.
+    if math.isinf(n * largest):
+        raise error(
+            largest_line, f"n={n} times the entry of magnitude {largest!r} overflows a float"
+        )
     return CostMatrix(entries)

@@ -3,14 +3,12 @@
 Every replication draws one cost matrix, solves for the maximum, minimum
 and greedy values, and records the field mean together with the residual
 maximum (the maximum minus the field mean, whose two parts are
-independent).  Statistics stream through mergeable central-moment
-accumulators, and per-replication seeds come from a pinned SplitMix64
-ladder, so results are bit-identical for a given master seed no matter how
-replications are scheduled across workers.  One array kernel,
-:func:`replicate_block`, samples and solves every replication of
-:func:`estimate`, :func:`ratio_table` and :func:`symmetry_check`.  One
-process pool per call computes rows a sampling pass at a time; the parent
-pushes them into the accumulators in replication order.
+independent).  One array kernel, :func:`replicate_block`, samples and
+solves every replication of :func:`estimate`, :func:`ratio_table` and the
+near-max mean pass.  Per-replication seeds come from a pinned SplitMix64
+ladder, and one mergeable central-moment accumulator takes the rows in
+replication order, so results are bit-identical for a given master seed
+however many workers the call's process pool has.
 """
 
 from __future__ import annotations
@@ -372,62 +370,3 @@ def ratio_table(
         return [
             _estimate(n, replications, derive_seed(master_seed, n), run) for n in n_list
         ]
-
-
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic ``sup |F_a - F_b|``."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-def ks_critical_value(n_a: int, n_b: int, alpha: float) -> float:
-    """Smirnov asymptotic critical value ``c(alpha) * sqrt((n_a+n_b)/(n_a*n_b))``
-    with ``c(alpha) = sqrt(-ln(alpha/2)/2)``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n_a + n_b) / (n_a * n_b))
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """KS comparison of the negated minimum sample against the maximum sample."""
-
-    n: int
-    replications: int
-    statistic: float
-    critical_value: float
-    alpha: float
-    passed: bool
-
-
-def symmetry_check(
-    n: int, replications: int, master_seed: int, alpha: float = 0.01
-) -> SymmetryReport:
-    """Test that the negated minimum matches the maximum in distribution.
-
-    Draws two disjoint replication streams (paths ``(0, k)`` and ``(1, k)``
-    under the master seed), compares ``{-min}`` against ``{max}`` with the
-    two-sample KS statistic, and checks it against the asymptotic critical
-    value at level ``alpha``.
-    """
-    if replications < 100:
-        raise ValueError("symmetry check needs at least 100 replications")
-    streams = [_child_seeds(derive_seed(master_seed, i), 0, replications) for i in (0, 1)]
-    maxima = replicate_block(n, streams[0])[:, 0]
-    minima = replicate_block(n, streams[1])[:, 1]
-    statistic = ks_statistic(-minima, maxima)
-    critical = ks_critical_value(replications, replications, alpha)
-    return SymmetryReport(
-        n=n,
-        replications=replications,
-        statistic=statistic,
-        critical_value=critical,
-        alpha=alpha,
-        passed=statistic < critical,
-    )

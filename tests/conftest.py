@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from graf import montecarlo
 from graf.field import CostMatrix
-from graf.montecarlo import StatSummary
+from graf.montecarlo import StatSummary, derive_seed, replicate_block
 
 
 @pytest.fixture
@@ -77,6 +78,30 @@ def all_permutations(n: int):
     """Independent tiny-scale walk of the group (not the package's table),
     as 0-based column tuples."""
     yield from itertools.permutations(range(n))
+
+
+# The paper's max/-min symmetry (c -> -c), a self-check of the solvers.
+
+
+def ks_critical_value(reps: int, alpha: float) -> float:
+    """Smirnov's asymptotic critical value at level ``alpha`` for two KS
+    samples of ``reps`` each: ``c(alpha) * sqrt(2 / reps)`` with
+    ``c(alpha) = sqrt(-ln(alpha / 2) / 2)``."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(2.0 / reps)
+
+
+def symmetry_statistic(n: int, reps: int, master_seed: int) -> float:
+    """Two-sample KS statistic of the negated minima against the maxima.
+
+    Stream ``i`` holds seeds ``derive_seed(master_seed, i, k)``; the maxima
+    come from stream 0 and the minima from stream 1, so the samples are
+    independent.
+    """
+    maxima, minima = (
+        replicate_block(n, montecarlo._child_seeds(derive_seed(master_seed, i), 0, reps))[:, i]
+        for i in (0, 1)
+    )
+    return float(ks_2samp(-minima, maxima, method="asymp").statistic)
 
 
 # Scalar streaming moments, one value at a time: the oracle for the

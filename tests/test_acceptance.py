@@ -21,14 +21,10 @@ from graf.bounds import (
 from graf.combinatorics import ball_size, ball_size_upper_bound, rencontres_count
 from graf.enumerator import correlation_histogram_exact, nearmax_table, verify_ball_size
 from graf.field import sample_cost_matrix
-from graf.montecarlo import (
-    derive_seed,
-    estimate,
-    ratio_table,
-    replicate_block,
-    symmetry_check,
-)
+from graf.montecarlo import derive_seed, estimate, ratio_table, replicate_block
 from graf.solvers import solve_max_bruteforce, solve_max_exact
+
+from conftest import ks_critical_value, symmetry_statistic
 
 SEED_SOLVER = 101
 SEED_DECOMP = 202
@@ -132,14 +128,14 @@ def test_criterion_02_rencontres_exactness():
     counts_ok = True
     worst_prop = 0.0
     for n in range(2, 9):
-        table = correlation_histogram_exact(n)
-        counts_ok &= table.counts == tuple(rencontres_count(n, k) for k in range(n + 1))
+        counts = correlation_histogram_exact(n)
+        counts_ok &= counts == tuple(rencontres_count(n, k) for k in range(n + 1))
         nfact = math.factorial(n)
         for k in range(n + 1):
             montmort = math.fsum(
                 (-1) ** l / math.factorial(l) for l in range(n - k + 1)
             ) / math.factorial(k)
-            worst_prop = max(worst_prop, abs(table.counts[k] / nfact - montmort))
+            worst_prop = max(worst_prop, abs(counts[k] / nfact - montmort))
     elapsed = time.perf_counter() - started
     _criterion(
         "2",
@@ -320,13 +316,12 @@ def test_criterion_08c_dimension_decrease(dimension_rows):
 
 
 def test_criterion_09_symmetry():
-    results = {
-        n: symmetry_check(n, 10_000, derive_seed(SEED_SYMMETRY, n)) for n in (3, 5, 10)
+    critical = ks_critical_value(10_000, 0.01)
+    statistics = {
+        n: symmetry_statistic(n, 10_000, derive_seed(SEED_SYMMETRY, n)) for n in (3, 5, 10)
     }
-    ok = all(r.passed for r in results.values())
-    detail = ", ".join(
-        f"n={n}: D={r.statistic:.4f} < {r.critical_value:.4f}" for n, r in results.items()
-    )
+    ok = all(d < critical for d in statistics.values())
+    detail = ", ".join(f"n={n}: D={d:.4f} < {critical:.4f}" for n, d in statistics.items())
     _criterion("9", "negated minimum matches the maximum in distribution (KS, alpha=0.01)", ok, detail)
 
 

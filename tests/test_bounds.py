@@ -96,24 +96,27 @@ class TestMeanBounds:
 class TestNearMaxBound:
     def test_threshold_example(self):
         assert nearmax_regime_threshold(100) == pytest.approx(0.03295, abs=1e-4)
-        assert nearmax_theorem_bound(100, 1e-4).regime == "small"
+        small = (100 * math.log(100)) ** 0.75
+        assert nearmax_theorem_bound(100, 1e-4, c_small=2.0) == pytest.approx(2.0 * small)
 
     def test_large_regime_value(self):
-        bound = nearmax_theorem_bound(100, 0.5, c_large=1.0)
-        assert bound.regime == "large"
-        assert bound.bound_value == pytest.approx(
-            math.sqrt(0.5) * 100 * math.log(100), rel=1e-12
-        )
-        assert bound.bound_value == pytest.approx(325.6, abs=0.2)
+        bound = nearmax_theorem_bound(100, 0.5, c_small=2.0, c_large=1.0)
+        assert bound == pytest.approx(math.sqrt(0.5) * 100 * math.log(100), rel=1e-12)
+        assert bound == pytest.approx(325.6, abs=0.2)
 
     def test_boundary_is_small_regime(self):
         n = 50
         eps = nearmax_regime_threshold(n)
-        assert nearmax_theorem_bound(n, eps).regime == "small"
+        small = (n * math.log(n)) ** 0.75
+        assert nearmax_theorem_bound(n, eps, c_small=2.0) == pytest.approx(2.0 * small)
+        above = math.nextafter(eps, 1.0)
+        assert nearmax_theorem_bound(n, above, c_small=2.0) == pytest.approx(
+            math.sqrt(above) * n * math.log(n)
+        )
 
     def test_monotone_in_eps_within_large_regime(self):
         n = 30
-        values = [nearmax_theorem_bound(n, e).bound_value for e in (0.2, 0.4, 0.6, 0.8)]
+        values = [nearmax_theorem_bound(n, e) for e in (0.2, 0.4, 0.6, 0.8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_inputs(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -369,14 +370,30 @@ class TestSolveCommand:
             (b"# n=0\n", ":1: malformed size header: '# n=0'"),
             (b"# n=-1\n", ":1: malformed size header: '# n=-1'"),
             (b"# n=+1\n0.5\n", ":1: malformed size header: '# n=+1'"),
+            (
+                b"# n=2\n1e308,-1e308\n-1e308,1e308\n",
+                ":2: n=2 times the entry of magnitude 1e+308 overflows a float",
+            ),
         ],
-        ids=["not-a-number", "non-ascii", "zero-size", "negative-size", "plus-size"],
+        ids=[
+            "not-a-number", "non-ascii", "zero-size", "negative-size", "plus-size",
+            "overflowing-sums",
+        ],
     )
     def test_malformed_input_names_file_and_line(self, tmp_path, capsys, data, message):
         matrix = tmp_path / "bad.csv"
         matrix.write_bytes(data)
         assert main(["solve", "--input", str(matrix)]) == 1
         assert capsys.readouterr().err == f"graf: error: {matrix}{message}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "enumerate"])
+    def test_overflowing_sums_write_nothing(self, tmp_path, capsys, command):
+        matrix = tmp_path / "big.csv"
+        matrix.write_text("# n=2\n1e308,-1e308\n-1e308,1e308\n")
+        out = tmp_path / "out"
+        assert main([command, "--input", str(matrix), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"graf: error: {matrix}:2: ")
+        assert not out.exists()
 
 
 class TestBoundsCommand:
@@ -409,6 +426,21 @@ class TestBoundsCommand:
 
 
 class TestOutputFile:
+    @pytest.mark.parametrize(
+        "out", ["missing/x.json", "."], ids=["missing-directory", "directory"]
+    )
+    def test_unwritable_out_fails_before_the_study(self, tmp_path, monkeypatch, capsys, out):
+        def not_called(config):
+            pytest.fail("the study ran although --out cannot be written")
+
+        monkeypatch.setitem(cli._COMMANDS, "estimate", not_called)
+        out = str(tmp_path / out)
+        flags = ["estimate", "--n", "30", "--reps", "20000", "--seed", "1", "--out", out]
+        assert main(flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"graf: error: cannot write --out {out!r}: ")
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
     )
@@ -602,6 +634,27 @@ class TestVerifyCommand:
             ["verify", "--n", "3", "--delta", "0.5", "--seed", "2", "--out", str(out)]
         ) == 0
         assert "ok:" in out.read_text()
+
+    def test_wrong_histogram_fails_with_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "correlation_histogram_exact", lambda n: (1,) * (n + 1))
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--n", "3", "--delta", "0.5", "--out", str(out)]) == 1
+        report = out.read_text()
+        assert "FAIL: agreement histogram n=3 (counts=(1, 1, 1, 1))" in report
+        assert capsys.readouterr().out == report
+
+    def test_solver_disagreement_fails(self, monkeypatch, capsys):
+        exact = cli.solve_max_bruteforce
+
+        def off(matrix):
+            result = exact(matrix)
+            return dataclasses.replace(result, raw_sum=result.raw_sum + 1e-6)
+
+        monkeypatch.setattr(cli, "solve_max_bruteforce", off)
+        assert main(["verify", "--n", "3", "--delta", "0.5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: solver agreement n=3" in out
+        assert out.count("FAIL") == 1
 
 
 class TestReproducibility:

@@ -7,7 +7,7 @@ import pytest
 
 from graf import enumerator, montecarlo
 from graf._permutations import perm_table
-from graf.combinatorics import RencontresTable, ball_size, ball_size_upper_bound
+from graf.combinatorics import ball_size, ball_size_upper_bound, rencontres_count
 from graf.enumerator import (
     correlation_histogram_exact,
     enumerate_field,
@@ -122,19 +122,21 @@ class TestNearMaximalSet:
 
 class TestCorrelationHistogram:
     def test_small_tables(self):
-        assert correlation_histogram_exact(2).counts == (1, 0, 1)
-        assert correlation_histogram_exact(4).counts == (9, 8, 6, 0, 1)
+        assert correlation_histogram_exact(2) == (1, 0, 1)
+        assert correlation_histogram_exact(4) == (9, 8, 6, 0, 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_closed_form(self, n):
-        assert correlation_histogram_exact(n).counts == RencontresTable.for_size(n).counts
+        assert correlation_histogram_exact(n) == tuple(
+            rencontres_count(n, k) for k in range(n + 1)
+        )
 
     def test_reference_independent(self, rng):
         for n in (3, 5, 7):
             base = correlation_histogram_exact(n)
             for _ in range(3):
                 ref = random_permutation(rng, n)
-                assert correlation_histogram_exact(n, ref).counts == base.counts
+                assert correlation_histogram_exact(n, ref) == base
 
     @pytest.mark.parametrize("reference", [[0, 1], [0, 0, 1], [0, 1, 3]])
     def test_rejects_bad_reference(self, reference):
@@ -143,7 +145,7 @@ class TestCorrelationHistogram:
 
     def test_counts_partition_group(self):
         for n in (2, 5, 8):
-            assert sum(correlation_histogram_exact(n).counts) == math.factorial(n)
+            assert sum(correlation_histogram_exact(n)) == math.factorial(n)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -232,6 +234,8 @@ class TestDimensionStudy:
             nearmax_table([4], [1.2], 10, 0, m_reps=100)
         with pytest.raises(ValueError):
             nearmax_table([4], [], 10, 0, m_reps=100)
+        with pytest.raises(ValueError, match="bound constants must be positive"):
+            nearmax_table([4], [0.2], 10, 0, m_reps=100, c_small=-1.0, c_large=0.0)
 
     @pytest.mark.parametrize(
         "replications, m_reps, message",

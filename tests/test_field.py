@@ -301,11 +301,12 @@ class TestSerialization:
             ("# n=2\n1,2\n", 2, "expected 2 rows, found 1"),
             ("# n=2\n1,2\n3,4,5\n", 3, "row length does not match declared size"),
             ("# n=2\n1,2\n3,nan\n", 3, "cost matrix entries must all be finite"),
+            ("# n=2\n1e308,1\n-1.5e308,0\n", 3, "n=2 times the entry of magnitude 1.5e+308"),
         ],
         ids=[
             "cell", "header", "zero-size", "negative-size", "underscore-size",
             "plus-size", "space-size", "no-header", "empty",
-            "row-count", "row-length", "non-finite",
+            "row-count", "row-length", "non-finite", "overflowing-sums",
         ],
     )
     def test_read_errors_name_path_and_line(self, tmp_path, text, line, message):
@@ -315,6 +316,11 @@ class TestSerialization:
             read_matrix_csv(path)
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert message in str(info.value)
+
+    def test_read_accepts_sums_just_inside_float_range(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# n=2\n8.9e307,-8.9e307\n-8.9e307,8.9e307\n")
+        assert read_matrix_csv(path).entries[0, 0] == 8.9e307
 
     def test_read_non_ascii_names_path_line_and_column(self, tmp_path):
         path = tmp_path / "m.csv"
