@@ -28,16 +28,15 @@ from graf.combinatorics import (
     rencontres_count,
 )
 from graf.enumerator import (
-    BallSizeCheck,
     DimensionSummary,
     NearMaxReport,
+    ball_counts_exact,
     correlation_histogram_exact,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
     near_maximal_set,
     nearmax_table,
-    verify_ball_size,
 )
 from graf.field import (
     CostMatrix,

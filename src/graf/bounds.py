@@ -129,8 +129,8 @@ def nearmax_theorem_bound(
         raise ValueError("size must be at least 2")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-    if c_small <= 0.0 or c_large <= 0.0:
-        raise ValueError("bound constants must be positive")
+    if not (0.0 < c_small < math.inf and 0.0 < c_large < math.inf):
+        raise ValueError("bound constants must be positive and finite")
     nlogn = n * math.log(n)
     if eps <= nearmax_regime_threshold(n):
         return c_small * nlogn**0.75

@@ -33,12 +33,12 @@ from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, re
 from graf.enumerator import (
     ENUM_N_MAX,
     HISTOGRAM_N_MAX,
+    ball_counts_exact,
     correlation_histogram_exact,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
     nearmax_table,
-    verify_ball_size,
 )
 from graf.field import (
     SAMPLE_N_MAX,
@@ -116,7 +116,9 @@ _replications = _checked(int, lambda v: v >= 2, "must be at least 2, got {value}
 _seed_value = _checked(
     int, lambda v: 0 <= v <= SEED_MAX, "seed must fit in an unsigned 64-bit integer"
 )
-_positive_float = _checked(float, lambda v: v > 0.0, "must be positive, got {text}")
+_positive_float = _checked(
+    float, lambda v: 0.0 < v < math.inf, "must be positive and finite, got {text}"
+)
 _unit_value = _checked(
     float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1, got {text}"
 )
@@ -132,13 +134,12 @@ def _column_suffix(value: float) -> str:
 _column_list = _comma_list(_unit_value, name=_column_suffix)
 
 
-def _int_list(minimum: int, maximum: int | None = None):
-    bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+def _int_list(minimum: int, maximum: int):
     return _comma_list(
         _checked(
             int,
-            lambda v: v >= minimum and (maximum is None or v <= maximum),
-            f"each value must be {bound}, got {{value}}",
+            lambda v: minimum <= v <= maximum,
+            f"each value must be in {minimum}..{maximum}, got {{value}}",
         )
     )
 
@@ -456,12 +457,13 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 
     for n in config.n:
         for delta in config.delta:
-            ball = verify_ball_size(n, delta, seed=config.seed)
+            counts = ball_counts_exact(n, delta, seed=config.seed)
+            expected = ball_size(n, delta)
+            bound = ball_size_upper_bound(n, delta)
             check(
                 f"ball size n={n} delta={format(delta, 'g')}",
-                ball.passed,
-                f"counts={ball.counts} closed_form={ball.expected} "
-                f"bound={fmt(ball.upper_bound)}",
+                counts == (expected,) * 3 and expected <= bound,
+                f"counts={counts} closed_form={expected} bound={fmt(bound)}",
             )
         counts = correlation_histogram_exact(n)
         check(

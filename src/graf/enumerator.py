@@ -2,8 +2,8 @@
 
 Everything here walks all ``n!`` assignments: full field enumeration,
 near-maximal set counting and its dimension ``log|A| / log(n!)``, exact
-agreement histograms, and cross-checks of the correlation-ball counts
-against their closed forms.
+agreement histograms, and correlation-ball counts, which ``graf verify``
+compares with their closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from graf._permutations import BLOCK_ROWS, perm_table, raw_sum_blocks
-from graf.combinatorics import ball_size, ball_size_upper_bound, in_correlation_ball
+from graf.combinatorics import in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
     _child_seeds,
@@ -80,17 +80,12 @@ def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
 class NearMaxReport:
     """Size and dimension of one instance's near-maximal assignment set.
 
-    The set holds assignments with field value strictly above
-    ``(1 - epsilon) * m_used``; ``dimension`` is ``log(size) / log(n!)``
-    and is None when the set is empty.
+    ``dimension`` is ``log(set_size) / log(n!)`` and is None when the set
+    is empty.
     """
 
-    n: int
-    epsilon: float
-    m_used: float
     set_size: int
     dimension: float | None
-    empty_flag: bool
 
 
 def near_maximal_set(c: CostMatrix, eps: float, m_used: float) -> NearMaxReport:
@@ -107,14 +102,7 @@ def near_maximal_set(c: CostMatrix, eps: float, m_used: float) -> NearMaxReport:
     dimension = (math.log(size) / log_nfact) if size >= 1 and c.n >= 2 else None
     if size >= 1 and c.n == 1:
         dimension = 0.0
-    return NearMaxReport(
-        n=c.n,
-        epsilon=eps,
-        m_used=m_used,
-        set_size=size,
-        dimension=dimension,
-        empty_flag=size == 0,
-    )
+    return NearMaxReport(set_size=size, dimension=dimension)
 
 
 @dataclass(frozen=True)
@@ -186,8 +174,8 @@ def nearmax_table(
         raise ValueError("need at least 2 replications")
     if m_reps < 2:
         raise ValueError(f"m_reps must be at least 2, got {m_reps}")
-    if c_small <= 0.0 or c_large <= 0.0:
-        raise ValueError("bound constants must be positive")
+    if not (0.0 < c_small < math.inf and 0.0 < c_large < math.inf):
+        raise ValueError("bound constants must be positive and finite")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
     # One counting task walks about BLOCK_ROWS assignments.
     per_task = {n: max(1, BLOCK_ROWS // math.factorial(n)) for n in n_list}
@@ -267,27 +255,13 @@ def correlation_histogram_exact(
     return tuple(np.bincount(agreements, minlength=n + 1).tolist())
 
 
-@dataclass(frozen=True)
-class BallSizeCheck:
-    """Enumerated correlation-ball counts against the closed form."""
+def ball_counts_exact(n: int, delta: float, seed: int = 0) -> tuple[int, int, int]:
+    """Count the permutations with correlation above ``1 - delta`` around
+    three references drawn from ``derive_seed(seed, n)``.
 
-    n: int
-    delta: float
-    counts: tuple[int, ...]
-    expected: int
-    upper_bound: float
-    passed: bool
-
-
-def verify_ball_size(n: int, delta: float, seed: int = 0) -> BallSizeCheck:
-    """Count permutations with correlation above ``1 - delta`` around three
-    random references, and compare with the closed-form ball size.
-
-    Passes when all three enumerated counts agree, equal the closed form,
-    and respect the ``n**(delta*n)`` bound.
+    Each count is the size of one correlation ball ``V(n, delta)``, so all
+    three should equal the closed form ``ball_size(n, delta)``.
     """
-    if not 1 <= n <= HISTOGRAM_N_MAX:
-        raise ValueError(f"ball verification is capped at n={HISTOGRAM_N_MAX}")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, n)))
     counts = []
     for _ in range(3):
@@ -295,17 +269,7 @@ def verify_ball_size(n: int, delta: float, seed: int = 0) -> BallSizeCheck:
         counts.append(
             sum(histogram[k] for k in range(1, n + 1) if in_correlation_ball(k, n, delta))
         )
-    expected = ball_size(n, delta)
-    upper = ball_size_upper_bound(n, delta)
-    passed = all(count == expected for count in counts) and expected <= upper
-    return BallSizeCheck(
-        n=n,
-        delta=delta,
-        counts=tuple(counts),
-        expected=expected,
-        upper_bound=upper,
-        passed=passed,
-    )
+    return tuple(counts)
 
 
 def mean_correlation_exhaustive(n: int) -> Fraction:

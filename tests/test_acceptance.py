@@ -19,7 +19,7 @@ from graf.bounds import (
     upper_bound_expected_max,
 )
 from graf.combinatorics import ball_size, ball_size_upper_bound, rencontres_count
-from graf.enumerator import correlation_histogram_exact, nearmax_table, verify_ball_size
+from graf.enumerator import ball_counts_exact, correlation_histogram_exact, nearmax_table
 from graf.field import sample_cost_matrix
 from graf.montecarlo import derive_seed, estimate, ratio_table, replicate_block
 from graf.solvers import solve_max_bruteforce, solve_max_exact
@@ -255,7 +255,9 @@ def test_criterion_08a_ball_size_verification():
     all_ok = True
     for n in range(2, 9):
         for tenths in range(1, 10):
-            all_ok &= verify_ball_size(n, tenths / 10, seed=SEED_DIMENSION).passed
+            delta = tenths / 10
+            counts = ball_counts_exact(n, delta, seed=SEED_DIMENSION)
+            all_ok &= counts == (ball_size(n, delta),) * 3
     elapsed = time.perf_counter() - started
     _criterion(
         "8a",

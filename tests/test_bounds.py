@@ -126,3 +126,7 @@ class TestNearMaxBound:
             nearmax_theorem_bound(10, 1.5)
         with pytest.raises(ValueError):
             nearmax_theorem_bound(10, 0.5, c_small=0.0)
+        for bad in (math.nan, math.inf):
+            for constants in ({"c_small": bad}, {"c_large": bad}):
+                with pytest.raises(ValueError, match="bound constants must be positive"):
+                    nearmax_theorem_bound(10, 0.5, **constants)

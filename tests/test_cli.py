@@ -425,6 +425,32 @@ class TestBoundsCommand:
         assert out.startswith("n,upper_E")
 
 
+# Required flags of the two commands that take the bound constants.
+_BOUND_CONSTANT_COMMANDS = {
+    "bounds": ["bounds", "--n-list", "5", "--eps", "0.5"],
+    "nearmax": [
+        "nearmax", "--n", "4", "--eps", "0.2", "--reps", "10", "--seed", "0",
+        "--m-reps", "100",
+    ],
+}
+
+
+class TestBoundConstants:
+    @pytest.mark.parametrize("command", sorted(_BOUND_CONSTANT_COMMANDS))
+    @pytest.mark.parametrize("option", ["c-small", "c-large"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e309"])
+    def test_non_finite_is_usage_error(self, tmp_path, capsys, command, option, value):
+        out = tmp_path / "out.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={value}\n")
+        base = _BOUND_CONSTANT_COMMANDS[command] + ["--out", str(out)]
+        for given in ([f"--{option}", value], ["--config", str(config)]):
+            assert main(base + given) == 2
+            err = capsys.readouterr().err
+            assert f"--{option}: must be positive and finite, got {value}" in err
+            assert not out.exists()
+
+
 class TestOutputFile:
     @pytest.mark.parametrize(
         "out", ["missing/x.json", "."], ids=["missing-directory", "directory"]
@@ -641,6 +667,18 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "3", "--delta", "0.5", "--out", str(out)]) == 1
         report = out.read_text()
         assert "FAIL: agreement histogram n=3 (counts=(1, 1, 1, 1))" in report
+        assert capsys.readouterr().out == report
+
+    def test_wrong_ball_count_fails_with_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ball_counts_exact", lambda n, delta, seed: (1, 1, 2))
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--n", "3", "--delta", "0.5", "--out", str(out)]) == 1
+        report = out.read_text()
+        assert (
+            "FAIL: ball size n=3 delta=0.5 "
+            "(counts=(1, 1, 2) closed_form=1 bound=5.196152422706632)\n"
+        ) in report
+        assert report.count("FAIL") == 1
         assert capsys.readouterr().out == report
 
     def test_solver_disagreement_fails(self, monkeypatch, capsys):

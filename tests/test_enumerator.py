@@ -7,15 +7,15 @@ import pytest
 
 from graf import enumerator, montecarlo
 from graf._permutations import perm_table
-from graf.combinatorics import ball_size, ball_size_upper_bound, rencontres_count
+from graf.combinatorics import ball_size, rencontres_count
 from graf.enumerator import (
+    ball_counts_exact,
     correlation_histogram_exact,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
     near_maximal_set,
     nearmax_table,
-    verify_ball_size,
 )
 from graf.field import CostMatrix, field_value, sample_cost_matrix
 from graf.solvers import solve_max_bruteforce, solve_max_exact
@@ -86,7 +86,7 @@ class TestNearMaximalSet:
         report = near_maximal_set(c, 0.25, m_used)
         oracle = sum(1 for v in values if v > 0.75 * m_used)
         assert report.set_size == oracle
-        assert report.empty_flag == (oracle == 0)
+        assert (report.dimension is None) == (oracle == 0)
 
     def test_monotone_in_eps(self):
         c = sample_cost_matrix(5, 9)
@@ -108,7 +108,7 @@ class TestNearMaximalSet:
     def test_dimension_range(self):
         c = sample_cost_matrix(5, 3)
         report = near_maximal_set(c, 0.9, 1.0)
-        assert not report.empty_flag
+        assert report.set_size >= 1
         assert report.dimension is not None
         assert 0.0 <= report.dimension <= 1.0
         assert report.set_size <= math.factorial(5)
@@ -116,7 +116,7 @@ class TestNearMaximalSet:
     def test_empty_set_has_no_dimension(self):
         c = sample_cost_matrix(3, 1)
         report = near_maximal_set(c, 0.01, 100.0)
-        assert report.empty_flag and report.set_size == 0
+        assert report.set_size == 0
         assert report.dimension is None
 
 
@@ -152,23 +152,20 @@ class TestCorrelationHistogram:
             correlation_histogram_exact(9)
 
 
-class TestVerifyBallSize:
+class TestBallCountsExact:
     def test_examples(self):
-        assert verify_ball_size(4, 0.3).expected == 1
-        assert verify_ball_size(5, 0.999).expected == 76
+        assert ball_counts_exact(4, 0.3) == (1, 1, 1)
+        assert ball_counts_exact(5, 0.999) == (76, 76, 76)
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_grid_passes(self, n):
+    def test_grid_matches_closed_form(self, n):
         for tenths in range(1, 10):
-            check = verify_ball_size(n, tenths / 10, seed=1)
-            assert check.passed, check
-            assert check.counts == (check.expected,) * 3
-            assert check.expected <= check.upper_bound
+            delta = tenths / 10
+            assert ball_counts_exact(n, delta, seed=1) == (ball_size(n, delta),) * 3
 
-    def test_bound_column_matches_module(self):
-        check = verify_ball_size(6, 0.4)
-        assert check.expected == ball_size(6, 0.4)
-        assert check.upper_bound == ball_size_upper_bound(6, 0.4)
+    def test_cap(self):
+        with pytest.raises(ValueError, match="capped at n=8"):
+            ball_counts_exact(9, 0.5)
 
 
 class TestMeanCorrelationExhaustive:
@@ -236,6 +233,10 @@ class TestDimensionStudy:
             nearmax_table([4], [], 10, 0, m_reps=100)
         with pytest.raises(ValueError, match="bound constants must be positive"):
             nearmax_table([4], [0.2], 10, 0, m_reps=100, c_small=-1.0, c_large=0.0)
+        for bad in (math.nan, math.inf):
+            for constants in ({"c_small": bad}, {"c_large": bad}):
+                with pytest.raises(ValueError, match="bound constants must be positive"):
+                    nearmax_table([4], [0.2], 10, 0, m_reps=100, **constants)
 
     @pytest.mark.parametrize(
         "replications, m_reps, message",
