@@ -3,10 +3,20 @@
 Both the brute-force solver and the exhaustive studies walk all ``n!``
 permutations in lexicographic order; the table and the blocked evaluation
 live here so the walk order is identical everywhere.
+
+The lexicographic table is a prefix tree.  The permutations that share
+their first ``h = min(n, 4)`` columns are contiguous, and below such a
+prefix the later matrix rows take the remaining columns in lexicographic
+order.  :func:`raw_sum_blocks` therefore adds up the first ``h`` terms once
+per prefix and forms each later term once per remaining column set and
+order, instead of gathering all ``n`` entries of every permutation.  It
+adds the terms in the order numpy's ``sum(axis=1)`` of the gathered rows
+does, so its sums equal that gather's bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -15,8 +25,13 @@ import numpy as np
 #: Hard cap for materializing the table: 10! rows of int8 is ~36 MB.
 PERM_TABLE_N_MAX = 10
 
-#: Rows evaluated per block; keeps the gather buffer around 16 MB at n=10.
+#: Rows per yielded block; the callers' per-block partials depend on it.
 BLOCK_ROWS = 200_000
+
+#: Rows summed once per prefix of the table; the other rows' terms are
+#: formed once per remaining column set and order.  numpy's pairwise row
+#: sum splits here from 8 terms on (see :func:`raw_sum_blocks`).
+HEAD_ROWS = 4
 
 
 @lru_cache(maxsize=3)
@@ -40,16 +55,79 @@ def perm_table(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=2)
+def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that split each permutation of :func:`perm_table` into
+    a head and a tail, as ``(heads, tails, sets)``.
+
+    With ``h = min(n, HEAD_ROWS)``, the table comes in blocks of
+    ``s = (n-h)!`` permutations that share their first ``h`` columns, the
+    head; within a block the tail rows ``h..n-1`` take the remaining
+    columns in lexicographic order.  ``heads`` is the ``(n!/s, h)`` int8
+    array of the blocks' heads, ``sets[b]`` numbers block ``b``'s set of
+    remaining columns, and ``tails[j, c]`` is the ``(s,)`` int8 array of
+    the columns that matrix row ``h + j`` takes along the orders of set
+    ``c``.
+    """
+    h = min(n, HEAD_ROWS)
+    table = perm_table(n)
+    blocks = table[:: math.factorial(n - h)]
+    # A block's first permutation lists its remaining columns in ascending
+    # order; the first block orders h..n-1 as every block orders its own.
+    remaining, sets = np.unique(blocks[:, h:], axis=0, return_inverse=True)
+    orders = table[: len(table) // len(blocks), h:] - h
+    tables = (
+        np.ascontiguousarray(blocks[:, :h]),
+        np.ascontiguousarray(remaining[:, orders].transpose(2, 0, 1)),
+        sets.reshape(-1),
+    )
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 def raw_sum_blocks(entries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(offset, rows, sums)`` blocks of ``BLOCK_ROWS`` permutations.
 
     ``rows`` is a slice of the table, ``sums[j]`` the un-normalized cost
-    ``sum_i entries[i, rows[j, i]]``.
+    ``sum_i entries[i, rows[j, i]]``, bit for bit what
+    ``entries[np.arange(n), rows].sum(axis=1)`` gives.
+
+    numpy sums a row of fewer than 8 terms one after another; from 8 to 15
+    terms it adds the first 8 as ``((0+1)+(2+3))+((4+5)+(6+7))`` and the
+    rest one after another.  Either way it adds a sum of the head terms
+    (see :func:`_split_tables`) to a sum of tail terms, then the other
+    tail terms in turn.  So each head sum is formed once per head, each
+    tail term once per remaining column set and order, and a block only
+    adds them up, in that order.
     """
     n = entries.shape[0]
     table = perm_table(n)
-    positions = np.arange(n)
-    for start in range(0, table.shape[0], BLOCK_ROWS):
-        rows = table[start : start + BLOCK_ROWS]
-        sums = entries[positions, rows].sum(axis=1)
-        yield start, rows, sums
+    heads, tails, sets = _split_tables(n)
+    h = heads.shape[1]
+    terms = entries[np.arange(h), heads]
+    # numpy's row sum starts from +0.0, so a row of -0.0 sums to +0.0;
+    # adding +0.0 to the first term reproduces that sign and no other bit.
+    terms[:, 0] += 0.0
+    rest = [entries[h + j][tails[j]] for j in range(n - h)]
+    if n >= 8:
+        head = (terms[:, 0] + terms[:, 1]) + (terms[:, 2] + terms[:, 3])
+        rest[:4] = [(rest[0] + rest[1]) + (rest[2] + rest[3])]
+    else:
+        head = terms[:, 0]
+        for k in range(1, h):
+            head = head + terms[:, k]
+    span = len(table) // len(heads)
+    for start in range(0, len(table), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(table))
+        # The heads whose permutations overlap the block.
+        lo, hi = start // span, -(-stop // span)
+        if rest:
+            ids = sets[lo:hi]
+            sums = rest[0][ids]
+            sums += head[lo:hi, np.newaxis]
+            for tail in rest[1:]:
+                sums += tail[ids]
+        else:
+            sums = head[lo:hi, np.newaxis]
+        yield start, table[start:stop], sums.ravel()[start - lo * span : stop - lo * span]

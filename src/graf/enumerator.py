@@ -64,7 +64,7 @@ def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Count, per threshold, the assignments whose raw sum is strictly above it."""
     sizes = np.zeros(len(thresholds), dtype=np.int64)
     for _, _, sums in raw_sum_blocks(entries):
-        sizes += (sums[np.newaxis, :] > thresholds[:, np.newaxis]).sum(axis=1)
+        sizes += [np.count_nonzero(sums > t) for t in thresholds]
     return sizes
 
 

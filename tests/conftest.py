@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from graf import montecarlo
+from graf._permutations import BLOCK_ROWS, perm_table
 from graf.field import CostMatrix
 from graf.montecarlo import StatSummary, derive_seed, replicate_block
 
@@ -78,6 +79,31 @@ def all_permutations(n: int):
     """Independent tiny-scale walk of the group (not the package's table),
     as 0-based column tuples."""
     yield from itertools.permutations(range(n))
+
+
+def raw_sum_blocks_oracle(entries: np.ndarray):
+    """``raw_sum_blocks`` by gathering all ``n`` entries of every
+    permutation and summing each gathered row with numpy: the same
+    ``(offset, rows, sums)`` blocks, the oracle for the walk's bits."""
+    n = entries.shape[0]
+    table = perm_table(n)
+    positions = np.arange(n)
+    for start in range(0, table.shape[0], BLOCK_ROWS):
+        rows = table[start : start + BLOCK_ROWS]
+        yield start, rows, entries[positions, rows].sum(axis=1)
+
+
+def adversarial_entries(kind: str, n: int) -> np.ndarray:
+    """An ``(n, n)`` matrix whose raw sums are hard to get bit for bit."""
+    rng = np.random.default_rng(1000 * n + len(kind))
+    if kind == "gaussian":
+        return rng.standard_normal((n, n))
+    if kind == "integer":  # many tied sums
+        return rng.integers(-3, 4, size=(n, n)).astype(np.float64)
+    if kind == "scaled":  # each entry times 1e8 or 1e-8: roundoff depends on the order
+        return rng.standard_normal((n, n)) * 10.0 ** rng.choice([-8, 8], size=(n, n))
+    # Signed zeros: numpy sums a row of -0.0 to +0.0.
+    return rng.choice([-0.0, 0.0], size=(n, n))
 
 
 # The paper's max/-min symmetry (c -> -c), a self-check of the solvers.

@@ -20,7 +20,7 @@ from graf.enumerator import (
 from graf.field import CostMatrix, field_value, sample_cost_matrix
 from graf.solvers import solve_max_bruteforce, solve_max_exact
 
-from conftest import random_permutation
+from conftest import adversarial_entries, random_permutation, raw_sum_blocks_oracle
 
 
 class TestEnumerateField:
@@ -118,6 +118,23 @@ class TestNearMaximalSet:
         report = near_maximal_set(c, 0.01, 100.0)
         assert report.set_size == 0
         assert report.dimension is None
+
+
+class TestSizesAbove:
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "scaled"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_thresholds_at_and_beside_enumerated_sums(self, n, kind):
+        # A threshold equal to an enumerated sum, or one ulp to either side
+        # of it, is counted right only if every sum has the oracle's bits.
+        entries = adversarial_entries(kind, n)
+        rng = np.random.default_rng(n)
+        sums = np.concatenate([sums for _, _, sums in raw_sum_blocks_oracle(entries)])
+        picks = [sums.min(), sums.max(), *rng.choice(sums, size=4)]
+        thresholds = np.array(
+            [t for p in picks for t in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+        )
+        expected = [np.count_nonzero(sums > t) for t in thresholds]
+        assert enumerator._sizes_above(entries, thresholds).tolist() == expected
 
 
 class TestCorrelationHistogram:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import graf
 from graf.field import CostMatrix
 from graf.solvers import (
     greedy_assignment,
@@ -45,6 +50,29 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(ValueError, match="solve_max_exact"):
             solve_max_bruteforce(CostMatrix(np.zeros((11, 11))))
+
+    def test_peak_memory_n10(self):
+        # The walk over 10! assignments runs one leading column at a time;
+        # VmHWM is this fresh interpreter's own high-water mark.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        script = "\n".join([
+            "import sys",
+            "from graf.field import sample_cost_matrix",
+            "from graf.solvers import solve_max_bruteforce, solve_max_exact",
+            "c = sample_cost_matrix(10, 0)",
+            "best = solve_max_bruteforce(c).columns",
+            "assert (best == solve_max_exact(c).columns).all()",
+            "with open('/proc/self/status') as fh:",
+            "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+            "sys.exit(f'peak RSS {kb} kB, limit 140 MB' if kb >= 140 * 1024 else 0)",
+        ])
+        src = str(Path(graf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestExactSolver:
