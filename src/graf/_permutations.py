@@ -28,6 +28,10 @@ PERM_TABLE_N_MAX = 10
 #: Rows per yielded block; the callers' per-block partials depend on it.
 BLOCK_ROWS = 200_000
 
+#: Rows of the smaller table shifted at a time while :func:`perm_table`
+#: grows it.
+PERM_CHUNK_ROWS = 1 << 14
+
 #: Rows summed once per prefix of the table; the other rows' terms are
 #: formed once per remaining column set and order.  numpy's pairwise row
 #: sum splits here from 8 terms on (see :func:`raw_sum_blocks`).
@@ -49,7 +53,11 @@ def perm_table(n: int) -> np.ndarray:
         for first in range(size):
             block = grown[first * rows : (first + 1) * rows]
             block[:, 0] = first
-            block[:, 1:] = table + (table >= first)
+            # In row chunks, so no temporary is table-sized; contiguous
+            # chunks are also faster than ufuncs writing the strided block.
+            for lo in range(0, rows, PERM_CHUNK_ROWS):
+                part = table[lo : lo + PERM_CHUNK_ROWS]
+                block[lo : lo + PERM_CHUNK_ROWS, 1:] = part + (part >= first)
         table = grown
     table.flags.writeable = False
     return table
@@ -86,12 +94,28 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def raw_sum_blocks(entries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def sum_workspace(n: int) -> np.ndarray:
+    """A buffer :func:`raw_sum_blocks` can build every block of size ``n``
+    in: one block's sums and one tail temporary, ``(2, heads, span)``."""
+    heads = _split_tables(n)[0]
+    span = math.factorial(n) // len(heads)
+    # A block of BLOCK_ROWS rows overlaps at most this many heads.
+    return np.empty((2, min(len(heads), -(-BLOCK_ROWS // span) + 1), span))
+
+
+def raw_sum_blocks(
+    entries: np.ndarray, workspace: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(offset, rows, sums)`` blocks of ``BLOCK_ROWS`` permutations.
 
     ``rows`` is a slice of the table, ``sums[j]`` the un-normalized cost
     ``sum_i entries[i, rows[j, i]]``, bit for bit what
     ``entries[np.arange(n), rows].sum(axis=1)`` gives.
+
+    Without a ``workspace`` each block's sums are a fresh array.  With one
+    from :func:`sum_workspace`, every block is built in it, so its memory
+    is faulted in once for all the matrices that share it, and a yielded
+    ``sums`` holds only until the next step.
 
     numpy sums a row of fewer than 8 terms one after another; from 8 to 15
     terms it adds the first 8 as ``((0+1)+(2+3))+((4+5)+(6+7))`` and the
@@ -118,16 +142,20 @@ def raw_sum_blocks(entries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.nd
         for k in range(1, h):
             head = head + terms[:, k]
     span = len(table) // len(heads)
+    sums_out = tail_out = None
     for start in range(0, len(table), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(table))
         # The heads whose permutations overlap the block.
         lo, hi = start // span, -(-stop // span)
         if rest:
             ids = sets[lo:hi]
-            sums = rest[0][ids]
+            if workspace is not None:
+                sums_out, tail_out = workspace[:, : hi - lo]
+            # mode="clip" writes into out directly; "raise" stages a copy.
+            sums = np.take(rest[0], ids, axis=0, out=sums_out, mode="clip")
             sums += head[lo:hi, np.newaxis]
             for tail in rest[1:]:
-                sums += tail[ids]
+                sums += np.take(tail, ids, axis=0, out=tail_out, mode="clip")
         else:
             sums = head[lo:hi, np.newaxis]
         yield start, table[start:stop], sums.ravel()[start - lo * span : stop - lo * span]

@@ -16,12 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from graf._permutations import BLOCK_ROWS, perm_table, raw_sum_blocks
+from graf._permutations import perm_table, raw_sum_blocks, sum_workspace
 from graf.combinatorics import in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
     _child_seeds,
-    _estimate,
+    _max_summary,
     _row_task_count,
     _task_pool,
     derive_seed,
@@ -34,6 +34,9 @@ ENUM_N_MAX = 9
 #: Histogram / ball checks walk the group once per reference; 8! keeps the
 #: whole acceptance grid in seconds.
 HISTOGRAM_N_MAX = 8
+#: Assignments one near-max counting task walks: 11 matrices at n = 9,
+#: which share one :func:`sum_workspace`.
+COUNT_TASK_ASSIGNMENTS = 4_000_000
 
 
 def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -60,20 +63,30 @@ def enumerated_field_mean(c: CostMatrix) -> float:
     return total / (math.factorial(c.n) * math.sqrt(c.n))
 
 
-def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Count, per threshold, the assignments whose raw sum is strictly above it."""
+def _sizes_above(
+    entries: np.ndarray, thresholds: np.ndarray, workspace: np.ndarray | None = None
+) -> np.ndarray:
+    """Count, per threshold, the assignments whose raw sum is strictly above
+    it; the sums are built in ``workspace`` when one is given."""
     sizes = np.zeros(len(thresholds), dtype=np.int64)
-    for _, _, sums in raw_sum_blocks(entries):
+    for _, _, sums in raw_sum_blocks(entries, workspace):
         sizes += [np.count_nonzero(sums > t) for t in thresholds]
     return sizes
 
 
 def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
     """Near-max set sizes of matrices ``start..stop-1`` of a dimension
-    study, one row per matrix and one column per threshold."""
+    study, one row per matrix and one column per threshold.
+
+    The matrices share one workspace.  It belongs to the task, not to the
+    module, so concurrent callers never share one.
+    """
     n, master_seed, thresholds, start, stop = task
     seeds = _child_seeds(derive_seed(master_seed, n, 1), start, stop)
-    return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
+    workspace = sum_workspace(n)
+    return np.array(
+        [_sizes_above(c, thresholds, workspace) for c in sample_cost_entries(n, seeds)]
+    )
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,16 @@ def nearmax_table(
 
     For each ``n`` the plug-in mean is estimated once from a separate
     high-replication pass (``m_reps`` replications under seed path
-    ``(n, 0)``), then ``replications`` matrices drawn under seed path
-    ``(n, 1, k)`` are enumerated; every epsilon is counted on the same
-    matrices.  With ``sensitivity`` enabled, extra rows re-count the sets
-    with the plug-in mean shifted by +-2 standard errors.  One worker pool
-    runs the m-pass and the counting of every size; the counts are
-    integers, so the table does not depend on ``workers``.
+    ``(n, 0)``) that solves and accumulates the maximum only; its mean and
+    standard error equal :func:`~graf.montecarlo.estimate`'s ``max_value``
+    bit for bit.  Then ``replications`` matrices drawn under seed path
+    ``(n, 1, k)`` are enumerated, in tasks of about
+    :data:`COUNT_TASK_ASSIGNMENTS` assignments that reuse one sums
+    workspace; every epsilon is counted on the same matrices.  With
+    ``sensitivity`` enabled, extra rows re-count the sets with the plug-in
+    mean shifted by +-2 standard errors.  One worker pool runs the m-pass
+    and the counting of every size; the counts are integers, so the table
+    does not depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon
@@ -177,17 +194,15 @@ def nearmax_table(
     if not (0.0 < c_small < math.inf and 0.0 < c_large < math.inf):
         raise ValueError("bound constants must be positive and finite")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
-    # One counting task walks about BLOCK_ROWS assignments.
-    per_task = {n: max(1, BLOCK_ROWS // math.factorial(n)) for n in n_list}
+    per_task = {n: max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n)) for n in n_list}
     most_tasks = max(
         max(_row_task_count(n, m_reps), -(-replications // per_task[n])) for n in n_list
     )
     rows: list[DimensionSummary] = []
     with _task_pool(workers, most_tasks) as run:
         for n in n_list:
-            m_pass = _estimate(n, m_reps, derive_seed(master_seed, n, 0), run)
-            m_hat = m_pass.max_value.mean
-            m_se = m_pass.max_value.mean_std_error
+            m_pass = _max_summary(n, m_reps, derive_seed(master_seed, n, 0), run)
+            m_hat, m_se = m_pass.mean, m_pass.mean_std_error
             # One counting variant per (epsilon, mean shift) pair.
             variants = [(eps, shift) for eps in eps_list for shift in shifts]
             thresholds = np.array(

@@ -5,10 +5,11 @@ and greedy values, and records the field mean together with the residual
 maximum (the maximum minus the field mean, whose two parts are
 independent).  One array kernel, :func:`replicate_block`, samples and
 solves every replication of :func:`estimate`, :func:`ratio_table` and the
-near-max mean pass.  Per-replication seeds come from a pinned SplitMix64
-ladder, and one mergeable central-moment accumulator takes the rows in
-replication order, so results are bit-identical for a given master seed
-however many workers the call's process pool has.
+near-max mean pass, which solves and accumulates the maximum only.
+Per-replication seeds come from a pinned SplitMix64 ladder, and one
+mergeable central-moment accumulator takes the rows in replication
+order, so results are bit-identical for a given master seed however many
+workers the call's process pool has.
 """
 
 from __future__ import annotations
@@ -115,50 +116,59 @@ class EstimateReport:
 STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
 
-def replicate_block(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+def replicate_block(
+    n: int, seeds: Sequence[int] | np.ndarray, columns: int = len(STAT_KEYS)
+) -> np.ndarray:
     """Sample and solve one cost matrix per seed (integers, or a ``uint64``
     array).
 
-    Returns a ``(len(seeds), 5)`` array whose columns follow
-    :data:`STAT_KEYS`: the maximum, minimum and greedy field values, the
-    field mean (the average over all assignments, which collapses to
-    ``sum_ij c(i, j) / (n * sqrt(n))``) and the residual maximum (the
-    maximum minus the field mean).  Matrices are drawn and solved a
-    sampling pass at a time, so memory does not grow with the batch.
+    Returns a ``(len(seeds), columns)`` array whose columns are the first
+    ``columns`` of :data:`STAT_KEYS`: the maximum, minimum and greedy field
+    values, the field mean (the average over all assignments, which
+    collapses to ``sum_ij c(i, j) / (n * sqrt(n))``) and the residual
+    maximum (the maximum minus the field mean).  Only the solves those
+    columns need run, and each column has the bits it has in a full row.
+    Matrices are drawn and solved a sampling pass at a time, so memory
+    does not grow with the batch.
     """
-    rows = np.empty((len(seeds), len(STAT_KEYS)))
+    if not 1 <= columns <= len(STAT_KEYS):
+        raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")
+    rows = np.empty((len(seeds), columns))
     root_n = math.sqrt(n)
     step = sample_chunk_size(n)
     for start in range(0, len(seeds), step):
         entries = sample_cost_entries(n, seeds[start : start + step])
         out = rows[start : start + len(entries)]
-        solved = (
-            [linear_sum_assignment(c, maximize=True)[1] for c in entries],
-            [linear_sum_assignment(c)[1] for c in entries],
-            greedy_columns(entries),
-        )
         matrix, row = np.arange(len(entries))[:, None], np.arange(n)
-        for col, columns in enumerate(solved):
-            out[:, col] = entries[matrix, row, columns].sum(axis=1) / root_n
-        out[:, 3] = entries.reshape(len(entries), n * n).sum(axis=1) / (n * root_n)
-        out[:, 4] = out[:, 0] - out[:, 3]
+        for col in range(min(columns, 3)):
+            solved = (
+                greedy_columns(entries)
+                if col == 2
+                else [linear_sum_assignment(c, maximize=col == 0)[1] for c in entries]
+            )
+            out[:, col] = entries[matrix, row, solved].sum(axis=1) / root_n
+        if columns > 3:
+            out[:, 3] = entries.reshape(len(entries), n * n).sum(axis=1) / (n * root_n)
+        if columns > 4:
+            out[:, 4] = out[:, 0] - out[:, 3]
     return rows
 
 
-def _replicate_rows(task: tuple[int, int, int, int]) -> np.ndarray:
+def _replicate_rows(task: tuple[int, int, int, int, int]) -> np.ndarray:
     """Rows of :func:`replicate_block` for replications ``start..stop-1``."""
-    n, master_seed, start, stop = task
-    return replicate_block(n, _child_seeds(master_seed, start, stop))
+    n, master_seed, start, stop, columns = task
+    return replicate_block(n, _child_seeds(master_seed, start, stop), columns)
 
 
-def _row_tasks(n: int, master_seed: int, replications: int):
-    """Row tasks ``(n, master_seed, start, stop)`` in replication order: one
-    sampling pass of :func:`replicate_block`, never crossing a block."""
+def _row_tasks(n: int, master_seed: int, replications: int, columns: int = len(STAT_KEYS)):
+    """Row tasks ``(n, master_seed, start, stop, columns)`` in replication
+    order: one sampling pass of :func:`replicate_block`, never crossing a
+    block."""
     step = sample_chunk_size(n)
     for block in range(0, replications, BLOCK_REPLICATIONS):
         stop = min(block + BLOCK_REPLICATIONS, replications)
         for start in range(block, stop, step):
-            yield n, master_seed, start, min(start + step, stop)
+            yield n, master_seed, start, min(start + step, stop), columns
 
 
 def _row_task_count(n: int, replications: int) -> int:
@@ -175,10 +185,12 @@ class _RowMoments:
     """Streaming moments of :func:`replicate_block` rows.
 
     Per column: the mean and the sums ``m2``..``m4`` of powers of
-    deviations from it; and the field-mean/residual co-moment (columns 3
-    and 4).  Pushes are Welford updates and merges Pébay's pairwise
-    formulas, so a merge reproduces the concatenated stream up to
-    roundoff.
+    deviations from it; and, when the rows hold columns 3 and 4, the
+    field-mean/residual co-moment.  Pushes are Welford updates and merges
+    Pébay's pairwise formulas, so a merge reproduces the concatenated
+    stream up to roundoff.  A column's updates read only that column and
+    the count, so its moments do not depend on which other columns the
+    rows hold.
     """
 
     count: int = 0
@@ -188,16 +200,22 @@ class _RowMoments:
     m4: list[float] = field(default_factory=_zeros)
     comoment: float = 0.0
 
+    @classmethod
+    def of(cls, columns: int) -> "_RowMoments":
+        """An empty accumulator of rows of the first ``columns`` columns."""
+        return cls(0, *([0.0] * columns for _ in range(4)))
+
     def push(self, rows: np.ndarray) -> None:
         """Push ``rows``, in order."""
         mean, m2, m3, m4 = self.mean, self.m2, self.m3, self.m4
         n = self.count
+        paired = len(mean) == len(STAT_KEYS)
         for row in rows.tolist():
             n1, n = n, n + 1
             a4, a3 = n * n - 3 * n + 3, n - 2
             # The co-moment takes column 3's deviation from the mean before
             # the update and column 4's from the mean after it.
-            dx = row[3] - mean[3]
+            dx = row[3] - mean[3] if paired else 0.0
             for j, x in enumerate(row):
                 delta = x - mean[j]
                 delta_n = delta / n
@@ -207,7 +225,8 @@ class _RowMoments:
                 m4[j] += term1 * delta_n2 * a4 + 6.0 * delta_n2 * m2[j] - 4.0 * delta_n * m3[j]
                 m3[j] += term1 * delta_n * a3 - 3.0 * delta_n * m2[j]
                 m2[j] += term1
-            self.comoment += dx * (row[4] - mean[4])
+            if paired:
+                self.comoment += dx * (row[4] - mean[4])
         self.count = n
 
     def merge(self, other: "_RowMoments") -> None:
@@ -222,7 +241,8 @@ class _RowMoments:
         na, nb = self.count, other.count
         n = na + nb
         deltas = [b - a for a, b in zip(self.mean, other.mean)]
-        self.comoment = self.comoment + other.comoment + deltas[3] * deltas[4] * na * nb / n
+        if len(deltas) == len(STAT_KEYS):
+            self.comoment = self.comoment + other.comoment + deltas[3] * deltas[4] * na * nb / n
         for j, delta in enumerate(deltas):
             d2 = delta * delta
             a2, a3, b2, b3 = self.m2[j], self.m3[j], other.m2[j], other.m3[j]
@@ -244,7 +264,7 @@ class _RowMoments:
         self.count = n
 
     def summaries(self) -> dict[str, StatSummary]:
-        """One :class:`StatSummary` per column, keyed by :data:`STAT_KEYS`;
+        """One :class:`StatSummary` per column held, keyed by :data:`STAT_KEYS`;
         the variance is unbiased and its standard error comes from the
         fourth moment."""
         n = self.count
@@ -259,7 +279,7 @@ class _RowMoments:
 
     @property
     def covariance(self) -> float:
-        """Unbiased field-mean/residual covariance."""
+        """Unbiased field-mean/residual covariance (of full rows only)."""
         return self.comoment / (self.count - 1)
 
 
@@ -304,20 +324,42 @@ def _task_pool(workers: int, tasks: int):
         yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)
 
 
-def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateReport:
-    """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
-    logger.info("estimate: n=%d replications=%d", n, replications)
-    results = run(_replicate_rows, _row_tasks(n, master_seed, replications))
-    moments = _RowMoments()
+def _moments(
+    n: int, replications: int, master_seed: int, run, columns: int
+) -> tuple[_RowMoments, int]:
+    """Moments of the first ``columns`` columns of ``replications`` rows,
+    with row tasks mapped by ``run`` (see :func:`_task_pool`), and the
+    greedy violations among them (0 unless the greedy column is held).
+
+    The parent pushes the rows in replication order into fixed blocks of
+    :data:`BLOCK_REPLICATIONS` merged in block order.
+    """
+    results = run(_replicate_rows, _row_tasks(n, master_seed, replications, columns))
+    moments = _RowMoments.of(columns)
     greedy_violations = 0
     for block in range(0, replications, BLOCK_REPLICATIONS):
-        block_moments = _RowMoments()
+        block_moments = _RowMoments.of(columns)
         while block_moments.count < min(BLOCK_REPLICATIONS, replications - block):
             rows = next(results)
             block_moments.push(rows)
-            greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
+            if columns > 2:
+                greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
         # Merging into an empty accumulator copies, so block 0 passes unchanged.
         moments.merge(block_moments)
+    return moments, greedy_violations
+
+
+def _max_summary(n: int, replications: int, master_seed: int, run) -> StatSummary:
+    """``max_value`` of :func:`_estimate`, bit for bit, from the max column
+    alone: no min LSA, no greedy and no other moments."""
+    logger.info("max pass: n=%d replications=%d", n, replications)
+    return _moments(n, replications, master_seed, run, 1)[0].summaries()["max_value"]
+
+
+def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateReport:
+    """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
+    logger.info("estimate: n=%d replications=%d", n, replications)
+    moments, greedy_violations = _moments(n, replications, master_seed, run, len(STAT_KEYS))
     summaries = moments.summaries()
     scale = math.sqrt(2.0 * log_factorial(n))
     max_summary = summaries["max_value"]

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graf
 from graf import enumerator, montecarlo
-from graf._permutations import perm_table
+from graf._permutations import perm_table, sum_workspace
 from graf.combinatorics import ball_size, rencontres_count
 from graf.enumerator import (
     ball_counts_exact,
@@ -136,6 +141,55 @@ class TestSizesAbove:
         expected = [np.count_nonzero(sums > t) for t in thresholds]
         assert enumerator._sizes_above(entries, thresholds).tolist() == expected
 
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_reused_workspace_counts_like_fresh(self, n):
+        # Each matrix's thresholds sit at and beside its own sums, so a sum
+        # left over from the matrix before would change a count.
+        matrices = [
+            adversarial_entries(kind, n) for kind in ("gaussian", "scaled", "integer", "zeros")
+        ]
+        matrices += [-matrices[0], np.full((n, n), -0.0)]
+        workspace = sum_workspace(n)
+        rng = np.random.default_rng(n)
+        for entries in matrices + matrices[::-1]:
+            sums = np.concatenate([sums for _, _, sums in raw_sum_blocks_oracle(entries)])
+            picks = [sums.min(), sums.max(), *rng.choice(sums, size=3)]
+            thresholds = np.array(
+                [t for p in picks for t in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+            )
+            fresh = enumerator._sizes_above(entries, thresholds)
+            assert fresh.tolist() == [np.count_nonzero(sums > t) for t in thresholds]
+            assert enumerator._sizes_above(entries, thresholds, workspace).tolist() == (
+                fresh.tolist()
+            )
+
+    def test_counting_tasks_do_not_refault(self):
+        # glibc may return a freed block's pages to the system, so each new
+        # array is faulted in again; a task's matrices share one workspace.
+        # The first task also builds the tables, so only later ones count.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("minor fault counts are read on Linux")
+        script = "\n".join([
+            "import resource, sys",
+            "import numpy as np",
+            "from graf import enumerator",
+            "thresholds = np.array([5.4, 5.1, 4.6, 4.0])",
+            "per_task = enumerator.COUNT_TASK_ASSIGNMENTS // 362880",
+            "enumerator._count_matrices((9, 3, thresholds, 0, per_task))",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for k in range(1, 4):",
+            "    enumerator._count_matrices((9, 3, thresholds, k * per_task, (k + 1) * per_task))",
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before",
+            "per_matrix = faults / (3 * per_task)",
+            "sys.exit(f'{per_matrix:.1f} faults per matrix' if per_matrix >= 100 else 0)",
+        ])
+        src = str(Path(graf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+
 
 class TestCorrelationHistogram:
     def test_small_tables(self):
@@ -229,11 +283,19 @@ class TestDimensionStudy:
 
     def test_worker_invariance_across_tasks(self, monkeypatch):
         # Counting tasks of 4 matrices at n = 4 and 1 at n = 5, on a real pool.
-        monkeypatch.setattr(enumerator, "BLOCK_ROWS", 100)
+        monkeypatch.setattr(enumerator, "COUNT_TASK_ASSIGNMENTS", 100)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         args = ([4, 5], [0.3, 0.6], 50, 17)
         serial = nearmax_table(*args, m_reps=300, workers=1)
         assert nearmax_table(*args, m_reps=300, workers=2) == serial
+
+    def test_worker_invariance_at_nine(self, monkeypatch):
+        # 23 matrices make counting tasks of 11, 11 and 1.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert 23 % (enumerator.COUNT_TASK_ASSIGNMENTS // math.factorial(9)) != 0
+        args = ([9], [0.1, 0.3], 23, 41)
+        serial = nearmax_table(*args, m_reps=300, sensitivity=True, workers=1)
+        assert nearmax_table(*args, m_reps=300, sensitivity=True, workers=2) == serial
 
     def test_one_pool_per_call(self, fake_pool, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 100)

@@ -125,7 +125,7 @@ def test_pooled_document_digest(name, tmp_path, capsys, monkeypatch):
     # Small row and counting tasks, so two workers share the m-pass, the
     # counting and every size.
     monkeypatch.setattr(montecarlo, "sample_chunk_size", lambda n: 64)
-    monkeypatch.setattr(enumerator, "BLOCK_ROWS", 100)
+    monkeypatch.setattr(enumerator, "COUNT_TASK_ASSIGNMENTS", 100)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     argv, digest = CLI_CASES[name]
     assert _sha256(_run_case(tmp_path, argv + ["--workers", "2"])) == digest

@@ -244,6 +244,27 @@ class TestRowMoments:
             assert left.summaries() == {k: s.summary() for k, s in zip(STAT_KEYS, stats)}
             assert left.covariance == cov.covariance
 
+    @pytest.mark.parametrize("columns", range(1, len(STAT_KEYS) + 1))
+    def test_leading_columns_accumulate_alone(self, columns, rng):
+        # A column's moments read only that column, and the co-moment is
+        # kept only when the rows hold columns 3 and 4.
+        rows = rng.standard_normal((23, len(STAT_KEYS)))
+        full, part = montecarlo._RowMoments(), montecarlo._RowMoments.of(columns)
+        more_full, more_part = montecarlo._RowMoments(), montecarlo._RowMoments.of(columns)
+        full.push(rows[:9])
+        part.push(rows[:9, :columns])
+        more_full.push(rows[9:])
+        more_part.push(rows[9:, :columns])
+        full.merge(more_full)
+        part.merge(more_part)
+        assert part.count == full.count
+        for name in ("mean", "m2", "m3", "m4"):
+            assert getattr(part, name) == getattr(full, name)[:columns]
+        assert part.comoment == (full.comoment if columns == len(STAT_KEYS) else 0.0)
+        assert part.summaries() == {
+            key: summary for key, summary in full.summaries().items() if key in STAT_KEYS[:columns]
+        }
+
     def test_merge_into_empty_copies(self, rng):
         # The merged accumulator shares no list with its source.
         full = montecarlo._RowMoments()
@@ -306,6 +327,36 @@ class TestReplicateBlock:
 
     def test_empty_batch(self):
         assert replicate_block(4, []).shape == (0, len(STAT_KEYS))
+
+    @pytest.mark.parametrize("columns", range(1, len(STAT_KEYS) + 1))
+    @pytest.mark.parametrize("n", [1, 5, 60])
+    def test_leading_columns_alone(self, n, columns):
+        seeds = [derive_seed(12, k) for k in range(40)]
+        full = replicate_block(n, seeds)
+        part = replicate_block(n, seeds, columns)
+        assert part.shape == (40, columns)
+        assert np.array_equal(part.view(np.uint64), full[:, :columns].view(np.uint64))
+
+    def test_max_column_solves_the_max_only(self, monkeypatch):
+        calls = []
+
+        def recording_lsa(c, maximize=False):
+            calls.append(maximize)
+            return montecarlo_lsa(c, maximize=maximize)
+
+        def no_greedy(entries):
+            raise AssertionError("greedy ran")
+
+        montecarlo_lsa = montecarlo.linear_sum_assignment
+        monkeypatch.setattr(montecarlo, "linear_sum_assignment", recording_lsa)
+        monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
+        replicate_block(6, [derive_seed(3, k) for k in range(7)], 1)
+        assert calls == [True] * 7
+
+    @pytest.mark.parametrize("columns", [0, len(STAT_KEYS) + 1])
+    def test_rejects_bad_column_count(self, columns):
+        with pytest.raises(ValueError, match="columns must lie in 1..5"):
+            replicate_block(4, [1], columns)
 
     def test_rejects_empty_matrix(self):
         for kernel in (replicate_block, sample_cost_entries):
@@ -488,3 +539,20 @@ class TestKolmogorovSmirnov:
         maxes = replicate_block(10, [derive_seed(4, 1, k) for k in range(reps)])[:, 0]
         statistic = ks_2samp(mins, maxes, method="asymp").statistic
         assert statistic > ks_critical_value(reps, 0.01)
+
+
+class TestMaxSummary:
+    """The near-max m-pass accumulates the max column alone, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reps", [2, 4097, 8197])
+    def test_equals_estimate_max(self, reps, workers, monkeypatch):
+        # 4097 and 8197 leave a one- and a five-row last block.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        n, seed = 8, derive_seed(23, 8, 0)
+        with montecarlo._task_pool(workers, montecarlo._row_task_count(n, reps)) as run:
+            summary = montecarlo._max_summary(n, reps, seed, run)
+            expected = montecarlo._estimate(n, reps, seed, run).max_value
+        assert summary.mean == expected.mean
+        assert summary.mean_std_error == expected.mean_std_error
+        assert summary == expected
