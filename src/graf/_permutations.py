@@ -94,28 +94,16 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def sum_workspace(n: int) -> np.ndarray:
-    """A buffer :func:`raw_sum_blocks` can build every block of size ``n``
-    in: one block's sums and one tail temporary, ``(2, heads, span)``."""
-    heads = _split_tables(n)[0]
-    span = math.factorial(n) // len(heads)
-    # A block of BLOCK_ROWS rows overlaps at most this many heads.
-    return np.empty((2, min(len(heads), -(-BLOCK_ROWS // span) + 1), span))
-
-
-def raw_sum_blocks(
-    entries: np.ndarray, workspace: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def raw_sum_blocks(entries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(offset, rows, sums)`` blocks of ``BLOCK_ROWS`` permutations.
 
     ``rows`` is a slice of the table, ``sums[j]`` the un-normalized cost
     ``sum_i entries[i, rows[j, i]]``, bit for bit what
     ``entries[np.arange(n), rows].sum(axis=1)`` gives.
 
-    Without a ``workspace`` each block's sums are a fresh array.  With one
-    from :func:`sum_workspace`, every block is built in it, so its memory
-    is faulted in once for all the matrices that share it, and a yielded
-    ``sums`` holds only until the next step.
+    Each walk builds every block in one buffer of its own, so a yielded
+    ``sums`` holds only until the next step; a caller that keeps sums
+    copies them.
 
     numpy sums a row of fewer than 8 terms one after another; from 8 to 15
     terms it adds the first 8 as ``((0+1)+(2+3))+((4+5)+(6+7))`` and the
@@ -142,20 +130,22 @@ def raw_sum_blocks(
         for k in range(1, h):
             head = head + terms[:, k]
     span = len(table) // len(heads)
-    sums_out = tail_out = None
+    if rest:
+        # One block's sums and one tail temporary; a block of BLOCK_ROWS
+        # rows overlaps at most this many heads.
+        buffer = np.empty((2, min(len(heads), -(-BLOCK_ROWS // span) + 1), span))
     for start in range(0, len(table), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(table))
         # The heads whose permutations overlap the block.
         lo, hi = start // span, -(-stop // span)
         if rest:
             ids = sets[lo:hi]
-            if workspace is not None:
-                sums_out, tail_out = workspace[:, : hi - lo]
+            sums, scratch = buffer[:, : hi - lo]
             # mode="clip" writes into out directly; "raise" stages a copy.
-            sums = np.take(rest[0], ids, axis=0, out=sums_out, mode="clip")
+            np.take(rest[0], ids, axis=0, out=sums, mode="clip")
             sums += head[lo:hi, np.newaxis]
             for tail in rest[1:]:
-                sums += np.take(tail, ids, axis=0, out=tail_out, mode="clip")
+                sums += np.take(tail, ids, axis=0, out=scratch, mode="clip")
         else:
             sums = head[lo:hi, np.newaxis]
         yield start, table[start:stop], sums.ravel()[start - lo * span : stop - lo * span]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from graf._permutations import perm_table, raw_sum_blocks, sum_workspace
+from graf._permutations import perm_table, raw_sum_blocks
 from graf.combinatorics import in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
@@ -34,8 +34,8 @@ ENUM_N_MAX = 9
 #: Histogram / ball checks walk the group once per reference; 8! keeps the
 #: whole acceptance grid in seconds.
 HISTOGRAM_N_MAX = 8
-#: Assignments one near-max counting task walks: 11 matrices at n = 9,
-#: which share one :func:`sum_workspace`.
+#: Assignments one near-max counting task walks: 11 matrices at n = 9, so
+#: a task's dispatch and sampling are paid once for all of them.
 COUNT_TASK_ASSIGNMENTS = 4_000_000
 
 
@@ -47,8 +47,11 @@ def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if c.n > ENUM_N_MAX:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
-    sums = np.concatenate([sums for _, _, sums in raw_sum_blocks(c.entries)])
-    return perm_table(c.n), sums / math.sqrt(c.n)
+    values = np.empty(math.factorial(c.n))
+    for start, _, sums in raw_sum_blocks(c.entries):
+        values[start : start + len(sums)] = sums
+    values /= math.sqrt(c.n)
+    return perm_table(c.n), values
 
 
 def enumerated_field_mean(c: CostMatrix) -> float:
@@ -63,13 +66,11 @@ def enumerated_field_mean(c: CostMatrix) -> float:
     return total / (math.factorial(c.n) * math.sqrt(c.n))
 
 
-def _sizes_above(
-    entries: np.ndarray, thresholds: np.ndarray, workspace: np.ndarray | None = None
-) -> np.ndarray:
+def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Count, per threshold, the assignments whose raw sum is strictly above
-    it; the sums are built in ``workspace`` when one is given."""
+    it, one block at a time."""
     sizes = np.zeros(len(thresholds), dtype=np.int64)
-    for _, _, sums in raw_sum_blocks(entries, workspace):
+    for _, _, sums in raw_sum_blocks(entries):
         sizes += [np.count_nonzero(sums > t) for t in thresholds]
     return sizes
 
@@ -78,15 +79,12 @@ def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
     """Near-max set sizes of matrices ``start..stop-1`` of a dimension
     study, one row per matrix and one column per threshold.
 
-    The matrices share one workspace.  It belongs to the task, not to the
-    module, so concurrent callers never share one.
+    Each matrix is one walk of :func:`raw_sum_blocks`, which owns its sums
+    buffer, so nothing is shared between matrices, tasks or threads.
     """
     n, master_seed, thresholds, start, stop = task
     seeds = _child_seeds(derive_seed(master_seed, n, 1), start, stop)
-    workspace = sum_workspace(n)
-    return np.array(
-        [_sizes_above(c, thresholds, workspace) for c in sample_cost_entries(n, seeds)]
-    )
+    return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,11 @@ def nearmax_table(
     standard error equal :func:`~graf.montecarlo.estimate`'s ``max_value``
     bit for bit.  Then ``replications`` matrices drawn under seed path
     ``(n, 1, k)`` are enumerated, in tasks of about
-    :data:`COUNT_TASK_ASSIGNMENTS` assignments that reuse one sums
-    workspace; every epsilon is counted on the same matrices.  With
-    ``sensitivity`` enabled, extra rows re-count the sets with the plug-in
-    mean shifted by +-2 standard errors.  One worker pool runs the m-pass
-    and the counting of every size; the counts are integers, so the table
-    does not depend on ``workers``.
+    :data:`COUNT_TASK_ASSIGNMENTS` assignments; every epsilon is counted
+    on the same matrices.  With ``sensitivity`` enabled, extra rows
+    re-count the sets with the plug-in mean shifted by +-2 standard errors.
+    One worker pool runs the m-pass and the counting of every size; the
+    counts are integers, so the table does not depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon

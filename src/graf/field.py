@@ -69,6 +69,13 @@ class CostMatrix:
             raise ValueError("cost matrix must have size at least 1")
         if not np.isfinite(arr).all():
             raise ValueError("cost matrix entries must all be finite")
+        # n * max|c| bounds every assignment sum, so a finite bound keeps all
+        # sums finite.
+        largest = float(np.abs(arr).max())
+        if math.isinf(arr.shape[0] * largest):
+            raise ValueError(
+                f"n={arr.shape[0]} times the entry of magnitude {largest!r} overflows a float"
+            )
         arr.flags.writeable = False
         self._entries = arr
 

@@ -20,7 +20,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -176,10 +176,6 @@ def _row_task_count(n: int, replications: int) -> int:
     return sum(1 for _ in _row_tasks(n, 0, replications))
 
 
-def _zeros() -> list[float]:
-    return [0.0] * len(STAT_KEYS)
-
-
 @dataclass
 class _RowMoments:
     """Streaming moments of :func:`replicate_block` rows.
@@ -193,17 +189,17 @@ class _RowMoments:
     rows hold.
     """
 
-    count: int = 0
-    mean: list[float] = field(default_factory=_zeros)
-    m2: list[float] = field(default_factory=_zeros)
-    m3: list[float] = field(default_factory=_zeros)
-    m4: list[float] = field(default_factory=_zeros)
-    comoment: float = 0.0
+    count: int
+    mean: list[float]
+    m2: list[float]
+    m3: list[float]
+    m4: list[float]
+    comoment: float
 
     @classmethod
     def of(cls, columns: int) -> "_RowMoments":
         """An empty accumulator of rows of the first ``columns`` columns."""
-        return cls(0, *([0.0] * columns for _ in range(4)))
+        return cls(0, *([0.0] * columns for _ in range(4)), 0.0)
 
     def push(self, rows: np.ndarray) -> None:
         """Push ``rows``, in order."""

@@ -102,6 +102,8 @@ def adversarial_entries(kind: str, n: int) -> np.ndarray:
         return rng.integers(-3, 4, size=(n, n)).astype(np.float64)
     if kind == "scaled":  # each entry times 1e8 or 1e-8: roundoff depends on the order
         return rng.standard_normal((n, n)) * 10.0 ** rng.choice([-8, 8], size=(n, n))
+    if kind == "negative zeros":  # every sum is +0.0, from -0.0 terms only
+        return np.full((n, n), -0.0)
     # Signed zeros: numpy sums a row of -0.0 to +0.0.
     return rng.choice([-0.0, 0.0], size=(n, n))
 

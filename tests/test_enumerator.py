@@ -11,7 +11,7 @@ import pytest
 
 import graf
 from graf import enumerator, montecarlo
-from graf._permutations import perm_table, sum_workspace
+from graf._permutations import perm_table
 from graf.combinatorics import ball_size, rencontres_count
 from graf.enumerator import (
     ball_counts_exact,
@@ -143,13 +143,13 @@ class TestSizesAbove:
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reused_workspace_counts_like_fresh(self, n):
-        # Each matrix's thresholds sit at and beside its own sums, so a sum
-        # left over from the matrix before would change a count.
+        # Back-to-back walks may build their sums in the same memory.  Each
+        # matrix's thresholds sit at and beside its own sums, so a sum left
+        # over from the matrix before would change a count.
         matrices = [
             adversarial_entries(kind, n) for kind in ("gaussian", "scaled", "integer", "zeros")
         ]
         matrices += [-matrices[0], np.full((n, n), -0.0)]
-        workspace = sum_workspace(n)
         rng = np.random.default_rng(n)
         for entries in matrices + matrices[::-1]:
             sums = np.concatenate([sums for _, _, sums in raw_sum_blocks_oracle(entries)])
@@ -157,38 +157,62 @@ class TestSizesAbove:
             thresholds = np.array(
                 [t for p in picks for t in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
             )
-            fresh = enumerator._sizes_above(entries, thresholds)
-            assert fresh.tolist() == [np.count_nonzero(sums > t) for t in thresholds]
-            assert enumerator._sizes_above(entries, thresholds, workspace).tolist() == (
-                fresh.tolist()
+            assert enumerator._sizes_above(entries, thresholds).tolist() == (
+                [np.count_nonzero(sums > t) for t in thresholds]
             )
 
     def test_counting_tasks_do_not_refault(self):
-        # glibc may return a freed block's pages to the system, so each new
-        # array is faulted in again; a task's matrices share one workspace.
-        # The first task also builds the tables, so only later ones count.
+        # glibc may return a freed array's pages to the system, so the next
+        # array of that size is faulted in again.  Each walk allocates one
+        # sums buffer, and once a freed one has raised glibc's mmap
+        # threshold the heap keeps that memory for the walks after it.
         if not sys.platform.startswith("linux"):
             pytest.skip("minor fault counts are read on Linux")
-        script = "\n".join([
+        prelude = [
             "import resource, sys",
             "import numpy as np",
             "from graf import enumerator",
+            "from graf._permutations import _split_tables",
+            "from graf.field import sample_cost_entries",
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
             "thresholds = np.array([5.4, 5.1, 4.6, 4.0])",
-            "per_task = enumerator.COUNT_TASK_ASSIGNMENTS // 362880",
-            "enumerator._count_matrices((9, 3, thresholds, 0, per_task))",
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
-            "for k in range(1, 4):",
-            "    enumerator._count_matrices((9, 3, thresholds, k * per_task, (k + 1) * per_task))",
-            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before",
-            "per_matrix = faults / (3 * per_task)",
-            "sys.exit(f'{per_matrix:.1f} faults per matrix' if per_matrix >= 100 else 0)",
-        ])
+        ]
+        scenarios = {
+            # Tasks of COUNT_TASK_ASSIGNMENTS; the first also builds the
+            # tables, so only later ones count.
+            "tasks": [
+                "size = enumerator.COUNT_TASK_ASSIGNMENTS // 362880",
+                "enumerator._count_matrices((9, 3, thresholds, 0, size))",
+                "before = faults()",
+                "for k in range(1, 4):",
+                "    enumerator._count_matrices((9, 3, thresholds, k * size, (k + 1) * size))",
+                "per_matrix = (faults() - before) / (3 * size)",
+                "sys.exit(f'{per_matrix:.1f} faults per matrix' if per_matrix >= 100 else 0)",
+            ],
+            # The tables built first, then one count per matrix: the first
+            # two walks may fault their buffers in, no later one should.
+            "matrices": [
+                "_split_tables(9)",
+                "counts = []",
+                "for entries in sample_cost_entries(9, range(20)):",
+                "    before = faults()",
+                "    enumerator._sizes_above(entries, thresholds)",
+                "    counts.append(faults() - before)",
+                "per_matrix = sum(counts[2:]) / len(counts[2:])",
+                "sys.exit(f'faults per matrix: {counts}' if per_matrix >= 20 else 0)",
+            ],
+        }
         src = str(Path(graf.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert result.returncode == 0, result.stderr
+        for name, lines in scenarios.items():
+            result = subprocess.run(
+                [sys.executable, "-c", "\n".join(prelude + lines)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, f"{name}: {result.stderr}"
 
 
 class TestCorrelationHistogram:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graf._permutations import perm_table
+from graf.enumerator import enumerate_field, near_maximal_set
 from graf.field import (
     SEED_MAX,
     CostMatrix,
@@ -22,6 +23,7 @@ from graf.field import (
     sample_cost_matrix,
     write_matrix_csv,
 )
+from graf.solvers import solve_max_bruteforce
 
 from conftest import random_matrix, random_permutation
 
@@ -90,6 +92,29 @@ class TestCostMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CostMatrix([[1.0, math.inf], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            CostMatrix,
+            lambda e: solve_max_bruteforce(CostMatrix(e)),
+            lambda e: enumerate_field(CostMatrix(e)),
+            lambda e: near_maximal_set(CostMatrix(e), 0.5, 1.0),
+        ],
+        ids=["constructor", "solve_max_bruteforce", "enumerate_field", "near_maximal_set"],
+    )
+    def test_rejects_overflowing_sums(self, entry_point):
+        # Entries are finite, but every assignment takes six +1e308 and two
+        # -1e308 entries: 4e308 overflows to inf, or to nan where the order
+        # of the additions meets inf - inf.
+        e = np.full((8, 8), 1e308)
+        e[:, 2:4] = -1e308
+        with pytest.raises(ValueError, match=r"n=8 times the entry of magnitude 1e\+308"):
+            entry_point(e)
+
+    def test_accepts_sums_just_inside_float_range(self):
+        c = CostMatrix([[8.9e307, -8.9e307], [-8.9e307, 8.9e307]])
+        assert solve_max_bruteforce(c).raw_sum == 1.78e308
 
     def test_entries_read_only(self):
         c = CostMatrix([[1.0]])

@@ -222,7 +222,8 @@ class TestRowMoments:
     )
     def test_matches_scalar_oracle(self, rows, data):
         split = data.draw(st.integers(0, len(rows)), label="split")
-        left, right = montecarlo._RowMoments(), montecarlo._RowMoments()
+        left = montecarlo._RowMoments.of(len(STAT_KEYS))
+        right = montecarlo._RowMoments.of(len(STAT_KEYS))
         left.push(rows[:split])
         right.push(rows[split:])
         left_stats, left_cov = scalar_push(rows[:split])
@@ -231,7 +232,7 @@ class TestRowMoments:
         assert right == oracle_moments(right_stats, right_cov)
 
         # A second push continues the stream.
-        pushed = montecarlo._RowMoments()
+        pushed = montecarlo._RowMoments.of(len(STAT_KEYS))
         pushed.push(rows[:split])
         pushed.push(rows[split:])
         assert pushed == oracle_moments(*scalar_push(rows))
@@ -249,8 +250,8 @@ class TestRowMoments:
         # A column's moments read only that column, and the co-moment is
         # kept only when the rows hold columns 3 and 4.
         rows = rng.standard_normal((23, len(STAT_KEYS)))
-        full, part = montecarlo._RowMoments(), montecarlo._RowMoments.of(columns)
-        more_full, more_part = montecarlo._RowMoments(), montecarlo._RowMoments.of(columns)
+        full, part = [montecarlo._RowMoments.of(k) for k in (len(STAT_KEYS), columns)]
+        more_full, more_part = [montecarlo._RowMoments.of(k) for k in (len(STAT_KEYS), columns)]
         full.push(rows[:9])
         part.push(rows[:9, :columns])
         more_full.push(rows[9:])
@@ -267,10 +268,10 @@ class TestRowMoments:
 
     def test_merge_into_empty_copies(self, rng):
         # The merged accumulator shares no list with its source.
-        full = montecarlo._RowMoments()
+        full = montecarlo._RowMoments.of(len(STAT_KEYS))
         full.push(rng.standard_normal((7, len(STAT_KEYS))))
         snapshot = copy.deepcopy(full)
-        merged = montecarlo._RowMoments()
+        merged = montecarlo._RowMoments.of(len(STAT_KEYS))
         merged.merge(full)
         assert merged == full
         merged.push(np.ones((1, len(STAT_KEYS))))
@@ -377,7 +378,7 @@ class TestReplicateBlock:
     def test_block_accumulators_push_rows_in_order(self):
         n, master_seed, start, stop = 5, 77, 3, 260
         rows = replicate_block(n, [derive_seed(master_seed, k) for k in range(start, stop)])
-        moments = montecarlo._RowMoments()
+        moments = montecarlo._RowMoments.of(len(STAT_KEYS))
         moments.push(rows)
         expected = [oracle_row(n, derive_seed(master_seed, k)) for k in range(start, stop)]
         assert moments == oracle_moments(*scalar_push(np.array(expected)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graf._permutations import BLOCK_ROWS, raw_sum_blocks, sum_workspace
+from graf._permutations import BLOCK_ROWS, raw_sum_blocks
 from graf.enumerator import enumerated_field_mean
 from graf.field import CostMatrix
 
@@ -16,22 +16,42 @@ from conftest import adversarial_entries, raw_sum_blocks_oracle
 
 def assert_blocks_match_oracle(entries: np.ndarray) -> None:
     """Every yielded block equals the gather oracle's: the same offset, the
-    same rows and the same sums bit for bit, sign of zero included."""
-    walked = list(raw_sum_blocks(entries))
-    gathered = list(raw_sum_blocks_oracle(entries))
-    assert [start for start, _, _ in walked] == [start for start, _, _ in gathered]
-    for (_, rows, sums), (_, oracle_rows, oracle_sums) in zip(walked, gathered):
+    same rows and the same sums bit for bit, sign of zero included.
+
+    The walk and the oracle are stepped together, as callers must: a
+    yielded block holds only until the walk's next step overwrites it.
+    """
+    n = entries.shape[0]
+    gathered = raw_sum_blocks_oracle(entries)
+    covered = 0
+    for start, rows, sums in raw_sum_blocks(entries):
+        oracle_start, oracle_rows, oracle_sums = next(gathered)
+        assert start == oracle_start == covered
+        # n = 9's second block is the short one, 162,880 rows.
+        assert len(rows) == len(sums) == min(BLOCK_ROWS, math.factorial(n) - start)
         assert np.array_equal(rows, oracle_rows)
         assert sums.dtype == oracle_sums.dtype == np.float64
-        assert np.array_equal(sums, oracle_sums)
         assert np.array_equal(sums.view(np.uint64), oracle_sums.view(np.uint64))
+        covered += len(sums)
+    assert next(gathered, None) is None
+    assert covered == math.factorial(n)
 
 
 class TestRawSumBlocks:
-    @pytest.mark.parametrize("kind", ["gaussian", "integer", "scaled", "zeros"])
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "scaled", "zeros", "negative zeros"])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_bit_identical_to_gather(self, n, kind):
         assert_blocks_match_oracle(adversarial_entries(kind, n))
+
+    def test_interleaved_walks_keep_their_own_blocks(self):
+        # Each walk owns its buffer, so two walks stepped in turn never
+        # overwrite each other's blocks.
+        first, second = (adversarial_entries(kind, 9) for kind in ("gaussian", "scaled"))
+        walks = raw_sum_blocks(first), raw_sum_blocks(second)
+        oracles = raw_sum_blocks_oracle(first), raw_sum_blocks_oracle(second)
+        for blocks in zip(*walks, *oracles, strict=True):
+            for (_, _, sums), (_, _, expected) in zip(blocks[:2], blocks[2:]):
+                assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_order_is_numpys_not_left_to_right(self, n):
@@ -62,29 +82,3 @@ class TestRawSumBlocks:
         total = math.fsum(float(sums.sum()) for _, _, sums in raw_sum_blocks_oracle(entries))
         expected = total / (math.factorial(9) * math.sqrt(9))
         assert enumerated_field_mean(CostMatrix(entries)) == expected
-
-
-class TestSumWorkspace:
-    @pytest.mark.parametrize("kind", ["gaussian", "integer", "scaled", "zeros", "negative zeros"])
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_same_bits_as_fresh_blocks(self, n, kind):
-        # Consumed a step at a time, as callers must: a block built in the
-        # workspace holds only until the next one overwrites it.  n <= 4
-        # has no tail and leaves the workspace unused; n = 9's second
-        # block is the short one, 162,880 rows.
-        if kind == "negative zeros":
-            entries = np.full((n, n), -0.0)
-        else:
-            entries = adversarial_entries(kind, n)
-        fresh = raw_sum_blocks(entries)
-        reused = raw_sum_blocks(entries, sum_workspace(n))
-        covered = 0
-        for start, rows, sums in reused:
-            fresh_start, fresh_rows, fresh_sums = next(fresh)
-            assert start == fresh_start == covered
-            assert len(rows) == len(sums) == min(BLOCK_ROWS, math.factorial(n) - start)
-            assert np.array_equal(rows, fresh_rows)
-            assert np.array_equal(sums.view(np.uint64), fresh_sums.view(np.uint64))
-            covered += len(sums)
-        assert next(fresh, None) is None
-        assert covered == math.factorial(n)
