@@ -21,6 +21,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from graf import __version__
 from graf.bounds import (
     greedy_lower_bound,
@@ -43,12 +45,12 @@ from graf.enumerator import (
 from graf.field import (
     SAMPLE_N_MAX,
     SEED_MAX,
-    permutation_texts,
+    _permutation_codes,
     read_matrix_csv,
     sample_cost_matrix,
 )
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
-from graf.serialize import atomic_write_text, fmt, fmt_column, to_csv_text, to_json_text
+from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import (
     greedy_assignment,
     solve_max_bruteforce,
@@ -424,21 +426,31 @@ def _cmd_nearmax(config: argparse.Namespace) -> int:
 ENUMERATE_CHUNK_ROWS = 2**13
 
 
+def _enumerate_rows(perms: np.ndarray, values: np.ndarray) -> str:
+    """The CSV rows of ``perms`` and ``values`` as to_csv_text writes them,
+    built as ASCII codes, one column per row, with NUL in unused places."""
+    cells = _permutation_codes(perms)
+    # A text with a comma is quoted, and only the one-column text of n = 1
+    # has none.
+    quote = ord('"') if len(cells) > 1 else 0
+    floats = fmt_codes(values)
+    codes = np.zeros((len(cells) + len(floats) + 4, len(values)), dtype=np.uint8)
+    codes[0] = codes[len(cells) + 1] = quote
+    codes[1 : len(cells) + 1] = cells
+    codes[len(cells) + 2] = ord(",")
+    codes[len(cells) + 3 : -1] = floats
+    codes[-1] = ord("\n")
+    return codes.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _cmd_enumerate(config: argparse.Namespace) -> int:
     perms, values = enumerate_field(read_matrix_csv(config.input))
-    # The bytes of to_csv_text: a text with a comma is quoted, and only the
-    # one-column text of n = 1 has none.
-    row = "%s,%s\n" if perms.shape[1] == 1 else '"%s",%s\n'
 
     def chunks() -> Iterator[str]:
         yield to_csv_text(["permutation", "field_value"], [])
         for start in range(0, len(values), ENUMERATE_CHUNK_ROWS):
             chunk = slice(start, start + ENUMERATE_CHUNK_ROWS)
-            texts = permutation_texts(perms[chunk])
-            cells = [""] * (2 * len(texts))
-            cells[::2] = texts
-            cells[1::2] = fmt_column(values[chunk])
-            yield row * len(texts) % tuple(cells)
+            yield _enumerate_rows(perms[chunk], values[chunk])
 
     _write_output(config.out, chunks())
     return 0

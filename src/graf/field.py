@@ -33,16 +33,21 @@ def permutation_texts(table: np.ndarray | Sequence[Sequence[int]]) -> list[str]:
     Rows hold 1 to 9 indices, each in ``0..8``, so every 1-based index is
     one digit; anything else raises ``ValueError``.
     """
+    codes = _permutation_codes(table)
+    return np.ascontiguousarray(codes.T).view(f"S{len(codes)}").ravel().astype(str).tolist()
+
+
+def _permutation_codes(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """ASCII codes of :func:`permutation_texts`, one column per row of
+    ``table``: digits at even places, commas between."""
     table = np.asarray(table)
     if table.ndim != 2 or not 1 <= table.shape[1] <= 9:
         raise ValueError(f"rows must hold 1 to 9 column indices, got shape {table.shape}")
     if table.size and not 0 <= table.min() <= table.max() <= 8:
         raise ValueError("column indices must lie in 0..8")
-    # One UCS-4 code per character: digits at even places, commas between.
-    width = 2 * table.shape[1] - 1
-    codes = np.full((len(table), width), ord(","), dtype=np.uint32)
-    codes[:, ::2] = table + ord("1")
-    return codes.view(f"U{width}").ravel().tolist()
+    codes = np.full((2 * table.shape[1] - 1, len(table)), ord(","), dtype=np.uint8)
+    codes[::2] = table.T + ord("1")
+    return codes
 
 
 def _assignment(u: np.ndarray | Sequence[int], n: int | None = None) -> np.ndarray:

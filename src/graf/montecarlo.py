@@ -309,9 +309,11 @@ def _task_pool(workers: int, tasks: int):
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    # More processes than tasks or cores cannot help, and the pool starts
-    # all of them at the first submit.
-    workers = min(workers, os.cpu_count() or 1, tasks)
+    # More processes than tasks or than the cores this process may run on
+    # cannot help, and the pool starts all of them at the first submit.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, cores, tasks)
     if workers <= 1:
         yield map
         return

@@ -11,6 +11,7 @@ from graf import montecarlo
 from graf._permutations import BLOCK_ROWS, perm_table
 from graf.field import CostMatrix
 from graf.montecarlo import StatSummary, derive_seed, replicate_block
+from graf.serialize import fmt
 
 
 @pytest.fixture
@@ -51,8 +52,15 @@ def fake_pool(monkeypatch):
             return results()
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    assume_cores(monkeypatch, 2)
     return record
+
+
+def assume_cores(monkeypatch, count: int) -> None:
+    """Let the task pool see ``count`` CPUs this process may run on."""
+    monkeypatch.setattr(
+        montecarlo.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -79,6 +87,23 @@ def all_permutations(n: int):
     """Independent tiny-scale walk of the group (not the package's table),
     as 0-based column tuples."""
     yield from itertools.permutations(range(n))
+
+
+def fmt_column_oracle(values: np.ndarray) -> list[str]:
+    """``[fmt(v) for v in values]`` in one ``%``-formatting pass, the
+    oracle for ``serialize.fmt_codes``.
+
+    ``%.17g`` prints what ``fmt`` prints except on integral values, where
+    it prints no ``.``; only those go through ``fmt`` again.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
+    texts.pop()
+    with np.errstate(invalid="ignore"):  # trunc of a signalling NaN
+        integral = values == np.trunc(values)
+    for i in np.flatnonzero(integral).tolist():
+        texts[i] = fmt(values[i])
+    return texts
 
 
 def raw_sum_blocks_oracle(entries: np.ndarray):

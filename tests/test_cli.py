@@ -15,20 +15,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import graf
-from graf import cli, montecarlo
+from graf import cli, montecarlo, serialize
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
 from graf.enumerator import enumerate_field
 from graf.field import read_matrix_csv, sample_cost_matrix, write_matrix_csv
 from graf.montecarlo import estimate
-from graf.serialize import (
-    atomic_write_text,
-    fmt,
-    fmt_column,
-    to_csv_text,
-    to_json_text,
-)
+from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import solve_max_exact
+
+from conftest import assume_cores, fmt_column_oracle
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -529,9 +525,10 @@ class TestEnumerateCommand:
         assert rows[0][0] == "1,2,3,4"
 
 
-def _enumerate_oracle(matrix) -> bytes:
-    """The enumerate document built one cell at a time by to_csv_text."""
-    perms, values = enumerate_field(matrix)
+def _enumerate_oracle(matrix, field=enumerate_field) -> bytes:
+    """The enumerate document built one cell at a time by to_csv_text,
+    from the assignments and values ``field(matrix)`` returns."""
+    perms, values = field(matrix)
     texts = [",".join(str(j + 1) for j in row) for row in perms.tolist()]
     rows = [[text, value] for text, value in zip(texts, values.tolist())]
     return to_csv_text(["permutation", "field_value"], rows).encode("ascii")
@@ -582,6 +579,49 @@ class TestEnumerateStream:
             for cell in (b",0.0\n", b",3.0\n", b",-10000000000000000.0\n", b",1e+17\n"):
                 assert cell in document
 
+    #: Values the array formatter leaves to fmt: integral, signed zeros,
+    #: below 1e-4, from 1e15 up, and not finite.
+    _FALLBACKS = [0.0, -0.0, 3.0, -1e16, 1e17, 5e-324, -9.999999999999999e-05, 1e15,
+                  -2.5e300, math.nan, math.inf, -math.inf]
+
+    def _with_values(self, monkeypatch, placed):
+        """Make `enumerate` write ``placed`` (row -> value) over the field
+        values, and return the field function it then uses."""
+
+        def field(matrix):
+            perms, values = enumerate_field(matrix)
+            values = values.copy()
+            values[list(placed)] = list(placed.values())
+            return perms, values
+
+        monkeypatch.setattr(cli, "enumerate_field", field)
+        return field
+
+    def test_fallback_rows_at_chunk_edges(self, tmp_path, capsys, monkeypatch):
+        # At n = 9: the first and last rows of the first two chunks, and the
+        # start and end of the partial last chunk.
+        chunk, count, run = cli.ENUMERATE_CHUNK_ROWS, math.factorial(9), len(self._FALLBACKS)
+        assert count % chunk != 0
+        starts = [0, chunk - run, chunk, 2 * chunk - run, count - count % chunk, count - run]
+        placed = {s + k: v for s in starts for k, v in enumerate(self._FALLBACKS)}
+        field = self._with_values(monkeypatch, placed)
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_cost_matrix(9, 109), path)
+        document = _enumerate_both_ways(path, tmp_path / "fields.csv", capsys)
+        assert document == _enumerate_oracle(read_matrix_csv(path), field)
+        assert b'"1,2,3,4,5,6,7,8,9",0.0\n' in document
+        assert document.endswith(b'"9,8,7,6,5,4,3,2,1",-inf\n')
+
+    @pytest.mark.parametrize("value", _FALLBACKS + [0.25, -123456.78901234567])
+    def test_one_column_cell(self, tmp_path, capsys, monkeypatch, value):
+        # n = 1: one row, whose one-digit cell is not quoted.
+        field = self._with_values(monkeypatch, {0: value})
+        path = tmp_path / "matrix.csv"
+        path.write_text("# n=1\n0.5\n")
+        document = _enumerate_both_ways(path, tmp_path / "fields.csv", capsys)
+        assert document == _enumerate_oracle(read_matrix_csv(path), field)
+        assert document == f"permutation,field_value\n1,{fmt(value)}\n".encode("ascii")
+
     def test_peak_memory_n9(self, tmp_path):
         # VmHWM is the high-water mark of this process's own address space;
         # ru_maxrss would also carry the mark of the process that forked it.
@@ -608,17 +648,98 @@ class TestEnumerateStream:
         assert out.stat().st_size > 0
 
 
+def _texts(codes: np.ndarray) -> list[str]:
+    """The text in each column of ``fmt_codes``' codes."""
+    return [bytes(column).replace(b"\0", b"").decode("ascii") for column in codes.T]
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def _neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+#: Families of float64 values at the edges of fmt_codes' array path.
+_FLOAT_FAMILIES = {
+    "bit_patterns": st.integers(0, 2**64 - 1).map(_bits_to_float),
+    # 10**k and its neighbours, where the decimal exponent changes.
+    "powers_of_ten": st.tuples(st.integers(-6, 17), st.integers(0, 2), _SIGNS).map(
+        lambda t: t[2] * float(_neighbours(10.0**t[0])[t[1]])
+    ),
+    # Exact ties at the 17th digit: k/8 + 1e14 and k/1024 + 1e12.
+    "ties": st.tuples(st.integers(0, 2**13), st.sampled_from([(8, 1e14), (1024, 1e12)]), _SIGNS)
+    .map(lambda t: t[2] * (t[0] / t[1][0] + t[1][1])),
+    # The ends of the array path: fl(1e-4) and 1e15.
+    "range_ends": st.tuples(st.sampled_from([1e-4, 1e15]), st.integers(0, 2), _SIGNS).map(
+        lambda t: t[2] * float(_neighbours(t[0])[t[1]])
+    ),
+    "fallbacks": st.one_of(
+        st.integers(0, 2**52 - 1).map(_bits_to_float),  # subnormals and +0
+        st.integers(-(2**10), 2**10).map(lambda k: 2.0**53 + k),  # integral around 2**53
+        st.integers(-(2**62), 2**62).map(float),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    ),
+}
+
+
 class TestFloatColumn:
+    """``fmt_codes`` against ``fmt`` and the ``%``-pass oracle."""
+
     _EDGES = [0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 1e17, 2.0**53, 0.1, 5e-324, 1.5e300,
               math.nan, math.inf, -math.inf]
 
     def test_edges_match_fmt(self):
-        assert fmt_column(np.array(self._EDGES)) == [fmt(v) for v in self._EDGES]
-        assert fmt_column(np.array([])) == []
+        assert _texts(fmt_codes(np.array(self._EDGES))) == [fmt(v) for v in self._EDGES]
+        assert _texts(fmt_codes(np.array([]))) == []
 
     @given(st.lists(st.floats(width=64)))
     def test_matches_fmt(self, values):
-        assert fmt_column(np.array(values, dtype=np.float64)) == [fmt(v) for v in values]
+        assert _texts(fmt_codes(np.array(values, dtype=np.float64))) == [fmt(v) for v in values]
+
+    @pytest.mark.parametrize("family", sorted(_FLOAT_FAMILIES))
+    @given(data=st.data())
+    def test_family_matches_oracle(self, family, data):
+        values = np.array(data.draw(st.lists(_FLOAT_FAMILIES[family], min_size=1)))
+        assert _texts(fmt_codes(values)) == fmt_column_oracle(values)
+
+    def test_seeded_sweep_matches_oracle(self):
+        # 2**20 bit patterns in chunks of 2**16: 4 chunks of uniform bits,
+        # then 12 with exponents from 2**-15 to 2**51, where most values
+        # take the array path.
+        rng = np.random.default_rng(18)
+        fast = 0
+        for chunk in range(16):
+            bits = rng.integers(0, 2**64, size=2**16, dtype=np.uint64, endpoint=False)
+            if chunk >= 4:
+                exponent = rng.integers(1023 - 15, 1023 + 52, size=2**16, dtype=np.uint64)
+                bits = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponent << np.uint64(52)
+            values = bits.view(np.float64)
+            codes = np.vstack([fmt_codes(values), np.full((1, 2**16), ord("\n"), np.uint8)])
+            expected = fmt_column_oracle(values)
+            if codes.T.tobytes().translate(None, b"\0") != "\n".join(expected + [""]).encode():
+                assert _texts(codes[:-1]) == expected
+            with np.errstate(invalid="ignore"):
+                fast += int(((abs(values) >= 1e-4) & (abs(values) < 1e15)).sum())
+        assert fast > 0.85 * 12 * 2**16
+
+    def test_array_path_makes_no_text(self, monkeypatch):
+        calls = []
+
+        def counting_fmt(x):
+            calls.append(x)
+            return fmt(x)
+
+        monkeypatch.setattr(serialize, "fmt", counting_fmt)
+        values = enumerate_field(sample_cost_matrix(7, 3))[1]
+        values[[0, 5, 9]] = [2.0, -0.0, 1e-7]
+        # Just below 10**k, where floor(log10) guesses one exponent too many.
+        values[10:27] = [np.nextafter(10.0**k, 0) for k in range(-3, 16) if k not in (0, 1)]
+        assert _texts(fmt_codes(values)) == fmt_column_oracle(values)
+        assert sorted(calls, key=str) == [-0.0, 1e-07, 2.0]
 
 
 class TestAtomicWrite:
@@ -755,7 +876,7 @@ class TestWorkerFailure:
                 raise BrokenProcessPool("A process in the process pool was terminated")
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         assert main(self.FLAGS) == 1
         err = capsys.readouterr().err
         assert err.startswith("graf: error: worker pool failed: A process")
@@ -763,7 +884,7 @@ class TestWorkerFailure:
 
     def test_dead_worker_process(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(montecarlo, "_replicate_rows", _dying_task)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         out = tmp_path / "ratio.csv"
         assert main(self.FLAGS + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("graf: error: worker pool failed: ")

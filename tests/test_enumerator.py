@@ -25,7 +25,12 @@ from graf.enumerator import (
 from graf.field import CostMatrix, field_value, sample_cost_matrix
 from graf.solvers import solve_max_bruteforce, solve_max_exact
 
-from conftest import adversarial_entries, random_permutation, raw_sum_blocks_oracle
+from conftest import (
+    adversarial_entries,
+    assume_cores,
+    random_permutation,
+    raw_sum_blocks_oracle,
+)
 
 
 class TestEnumerateField:
@@ -308,14 +313,14 @@ class TestDimensionStudy:
     def test_worker_invariance_across_tasks(self, monkeypatch):
         # Counting tasks of 4 matrices at n = 4 and 1 at n = 5, on a real pool.
         monkeypatch.setattr(enumerator, "COUNT_TASK_ASSIGNMENTS", 100)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         args = ([4, 5], [0.3, 0.6], 50, 17)
         serial = nearmax_table(*args, m_reps=300, workers=1)
         assert nearmax_table(*args, m_reps=300, workers=2) == serial
 
     def test_worker_invariance_at_nine(self, monkeypatch):
         # 23 matrices make counting tasks of 11, 11 and 1.
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         assert 23 % (enumerator.COUNT_TASK_ASSIGNMENTS // math.factorial(9)) != 0
         args = ([9], [0.1, 0.3], 23, 41)
         serial = nearmax_table(*args, m_reps=300, sensitivity=True, workers=1)

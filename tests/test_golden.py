@@ -16,6 +16,8 @@ from graf.cli import main
 from graf.field import sample_cost_matrix, write_matrix_csv
 from graf.montecarlo import derive_seed
 
+from conftest import assume_cores
+
 MATRIX_SEED = 2020
 
 NEARMAX_CONFIG = (
@@ -126,7 +128,7 @@ def test_pooled_document_digest(name, tmp_path, capsys, monkeypatch):
     # counting and every size.
     monkeypatch.setattr(montecarlo, "sample_chunk_size", lambda n: 64)
     monkeypatch.setattr(enumerator, "COUNT_TASK_ASSIGNMENTS", 100)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    assume_cores(monkeypatch, 2)
     argv, digest = CLI_CASES[name]
     assert _sha256(_run_case(tmp_path, argv + ["--workers", "2"])) == digest
 

@@ -30,6 +30,7 @@ from graf.solvers import solve_max_exact, solve_min_exact
 from conftest import (
     RunningCovariance,
     RunningStats,
+    assume_cores,
     greedy_oracle,
     ks_critical_value,
     merge_stats,
@@ -450,15 +451,34 @@ class TestEstimate:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 10)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        if cores is None:
+            # No affinity set and no CPU count: one worker, in this process.
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        else:
+            assume_cores(monkeypatch, cores)
         report = estimate(3, 30, 8, workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert report == estimate(3, 30, 8, workers=1)
 
+    def test_pool_counts_the_cpus_it_may_use(self, monkeypatch):
+        # Pinned to one CPU of an 8-CPU machine: no pool.
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        with montecarlo._task_pool(2, 10) as run:
+            assert run is map
+
+    def test_pool_counts_all_cpus_without_affinity(self, fake_pool, monkeypatch):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        with montecarlo._task_pool(8, 10) as run:
+            assert run is not map
+        assert fake_pool.sizes == [2]
+
     def test_worker_invariance_across_task_boundaries(self, monkeypatch):
         # A pass of 655 rows at n = 10 does not divide a block, so row tasks
         # end at pass boundaries and at block boundaries.
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         block, n, seed = montecarlo.BLOCK_REPLICATIONS, 10, 31
         reps = 2 * block + 700
         serial = estimate(n, reps, seed, workers=1)
@@ -549,7 +569,7 @@ class TestMaxSummary:
     @pytest.mark.parametrize("reps", [2, 4097, 8197])
     def test_equals_estimate_max(self, reps, workers, monkeypatch):
         # 4097 and 8197 leave a one- and a five-row last block.
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assume_cores(monkeypatch, 2)
         n, seed = 8, derive_seed(23, 8, 0)
         with montecarlo._task_pool(workers, montecarlo._row_task_count(n, reps)) as run:
             summary = montecarlo._max_summary(n, reps, seed, run)
