@@ -11,15 +11,6 @@ sets for small ``n``, and evaluates the matching closed-form bounds.
 
 from types import ModuleType as _ModuleType
 
-from graf.bounds import (
-    expected_max_iid_gaussian,
-    greedy_lower_bound,
-    nearmax_regime_threshold,
-    nearmax_theorem_bound,
-    trivial_upper_bound_expected_max,
-    upper_bound_expected_max,
-    variance_lower_bound,
-)
 from graf.combinatorics import (
     ball_size,
     ball_size_upper_bound,
@@ -66,9 +57,37 @@ from graf.solvers import (
 
 __version__ = "0.1.0"
 
-# The public API is exactly the names imported above.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
+# graf.bounds imports scipy.integrate and scipy.special, so its names are
+# loaded on first use (PEP 562), and `import graf` loads no scipy.
+_BOUNDS_NAMES = (
+    "expected_max_iid_gaussian",
+    "greedy_lower_bound",
+    "nearmax_regime_threshold",
+    "nearmax_theorem_bound",
+    "trivial_upper_bound_expected_max",
+    "upper_bound_expected_max",
+    "variance_lower_bound",
 )
+
+# The public API is exactly the names imported above and those of bounds.
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _ModuleType)
+    ]
+    + list(_BOUNDS_NAMES)
+)
+
+
+def __getattr__(name: str):
+    if name not in _BOUNDS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from graf import bounds
+
+    value = globals()[name] = getattr(bounds, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_BOUNDS_NAMES))

@@ -10,6 +10,7 @@ to stdout after file output; ``GRAF_LOG`` selects the log level.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import math
 import os
@@ -23,14 +24,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+import graf
 from graf import __version__
-from graf.bounds import (
-    greedy_lower_bound,
-    nearmax_theorem_bound,
-    trivial_upper_bound_expected_max,
-    upper_bound_expected_max,
-    variance_lower_bound,
-)
 from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, rencontres_count
 from graf.enumerator import (
     ENUM_N_MAX,
@@ -257,10 +252,18 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
+#: The scipy modules every command but `enumerate` calls into.
+_SCIPY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse command-line arguments.  A ``--config`` file's tokens are
     spliced in right after the subcommand, so explicit flags, which come
-    later, win."""
+    later, win.
+
+    Every command but ``enumerate`` then loads scipy here, so that the
+    load counts as set-up, not as the command's work, and a worker pool
+    forked later inherits it."""
     parser = build_parser()
     argv = list(argv)
     at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
@@ -273,7 +276,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             path = argv[i].split("=", 1)[1]
     if sub is not None and path is not None:
         argv[at + 1 : at + 1] = _config_tokens(path, sub)
-    return parser.parse_args(argv)
+    config = parser.parse_args(argv)
+    if config.subcommand != "enumerate":
+        for name in _SCIPY_MODULES:
+            importlib.import_module(name)
+    return config
 
 
 def _write_output(out: str | None, chunks: Iterable[str]) -> None:
@@ -317,19 +324,20 @@ _RATIO_COLUMNS = {
     "var_gbar": attrgetter("field_mean.variance"),
     "cov_gbar_L": attrgetter("cov_field_mean_residual"),
     "ratio": attrgetter("ratio"),
-    "upper_E": lambda r: upper_bound_expected_max(r.n),
-    "greedy_lower_E": lambda r: greedy_lower_bound(r.n),
-    "var_lower": lambda r: variance_lower_bound(r.n),
+    "upper_E": lambda r: graf.upper_bound_expected_max(r.n),
+    "greedy_lower_E": lambda r: graf.greedy_lower_bound(r.n),
+    "var_lower": lambda r: graf.variance_lower_bound(r.n),
 }
 
 # CSV column -> value for one size n, in column order; `bounds` appends
-# its per-eps and per-delta columns after these.
+# its per-eps and per-delta columns after these.  The bounds functions are
+# looked up at call time, as graf.bounds loads on first use.
 _BOUNDS_COLUMNS = {
     "n": lambda n: n,
-    "upper_E": upper_bound_expected_max,
-    "trivial_upper_E": trivial_upper_bound_expected_max,
-    "greedy_lower_E": greedy_lower_bound,
-    "var_lower": variance_lower_bound,
+    "upper_E": lambda n: graf.upper_bound_expected_max(n),
+    "trivial_upper_E": lambda n: graf.trivial_upper_bound_expected_max(n),
+    "greedy_lower_E": lambda n: graf.greedy_lower_bound(n),
+    "var_lower": lambda n: graf.variance_lower_bound(n),
 }
 
 
@@ -357,7 +365,9 @@ def _cmd_bounds(config: argparse.Namespace) -> int:
     def nearmax(eps: float):
         c_small, c_large = config.c_small, config.c_large
         return lambda n: (
-            nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large) if n >= 2 else ""
+            graf.nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large)
+            if n >= 2
+            else ""
         )
 
     columns = list(_BOUNDS_COLUMNS.items())
@@ -527,10 +537,13 @@ def run(config: argparse.Namespace) -> int:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Fail before any work when ``--out`` cannot be written: it must not
-    be a directory, and its directory must exist and be writable."""
+    """Fail before any work when ``--out`` cannot be written: it must be
+    a non-empty path that is not a directory, and its directory must exist
+    and be writable."""
     if out is None:
         return
+    if not out:
+        raise OSError(f"cannot write --out {out!r}: the path is empty")
     if os.path.isdir(out):
         raise OSError(f"cannot write --out {out!r}: it is a directory")
     directory = os.path.dirname(out) or "."

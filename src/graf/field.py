@@ -20,7 +20,6 @@ from os import PathLike, fspath
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 SEED_MAX = 2**64 - 1
 
@@ -239,6 +238,8 @@ def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray
     Every step is elementwise, so sampling in passes of
     :func:`sample_chunk_size` matrices changes no bit.
     """
+    from scipy.special import ndtri  # scipy loads on first use, not at import
+
     sample_chunk_size(n)  # rejects a bad size before anything is allocated
     seeds = _seed_array(seeds)
     out = np.empty((len(seeds), n, n))

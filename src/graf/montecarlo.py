@@ -25,7 +25,6 @@ from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from graf.combinatorics import log_factorial
 from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
@@ -131,6 +130,8 @@ def replicate_block(
     Matrices are drawn and solved a sampling pass at a time, so memory
     does not grow with the batch.
     """
+    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
+
     if not 1 <= columns <= len(STAT_KEYS):
         raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")
     rows = np.empty((len(seeds), columns))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from graf._permutations import raw_sum_blocks
 from graf.field import CostMatrix
@@ -71,12 +70,16 @@ def solve_max_exact(c: CostMatrix) -> SolveResult:
     The optimal value matches exhaustive search exactly; which optimal
     assignment is returned under ties is implementation-defined.
     """
+    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
+
     _, columns = linear_sum_assignment(c.entries, maximize=True)
     return _result(c.entries, columns)
 
 
 def solve_min_exact(c: CostMatrix) -> SolveResult:
     """Minimum-sum assignment; the maximizer of the negated matrix."""
+    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
+
     _, columns = linear_sum_assignment(c.entries)
     return _result(c.entries, columns)
 

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import graf
 from graf import montecarlo
 from graf._permutations import BLOCK_ROWS, perm_table
 from graf.field import CostMatrix
@@ -60,6 +65,17 @@ def assume_cores(monkeypatch, count: int) -> None:
     """Let the task pool see ``count`` CPUs this process may run on."""
     monkeypatch.setattr(
         montecarlo.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    checkout's graf."""
+    src = str(Path(graf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
     )
 
 

@@ -4,8 +4,6 @@ import json
 import math
 import os
 import stat
-import subprocess
-import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import graf
 from graf import cli, montecarlo, serialize
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
@@ -24,7 +21,7 @@ from graf.montecarlo import estimate
 from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import solve_max_exact
 
-from conftest import assume_cores, fmt_column_oracle
+from conftest import assume_cores, fmt_column_oracle, run_fresh
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -295,6 +292,17 @@ _SAMPLE_VALUES = {
 
 _SUBCOMMANDS = _subcommands(build_parser())
 
+
+def _required_flags(command: str, but=None) -> list[str]:
+    """``command`` with a sample value for each of its required options
+    other than the action ``but``."""
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if action.required and action is not but:
+            argv += [action.option_strings[0], _SAMPLE_VALUES[action.option_strings[0]]]
+    return argv
+
+
 _CONFIG_OPTIONS = [
     (command, option)
     for command, sub in _SUBCOMMANDS.items()
@@ -310,10 +318,7 @@ class TestConfigKeysMatchFlags:
     def test_key_parses_like_flag(self, tmp_path, command, option):
         sub = _SUBCOMMANDS[command]
         action = sub._option_string_actions[option]
-        base = [command]
-        for other in sub._actions:
-            if other.required and other is not action:
-                base += [other.option_strings[0], _SAMPLE_VALUES[other.option_strings[0]]]
+        base = _required_flags(command, but=action)
         if action.nargs == 0:
             flag, line = [option], f"{option[2:]}=true"
         else:
@@ -449,14 +454,14 @@ class TestBoundConstants:
 
 class TestOutputFile:
     @pytest.mark.parametrize(
-        "out", ["missing/x.json", "."], ids=["missing-directory", "directory"]
+        "out", ["missing/x.json", ".", ""], ids=["missing-directory", "directory", "empty"]
     )
     def test_unwritable_out_fails_before_the_study(self, tmp_path, monkeypatch, capsys, out):
         def not_called(config):
             pytest.fail("the study ran although --out cannot be written")
 
         monkeypatch.setitem(cli._COMMANDS, "estimate", not_called)
-        out = str(tmp_path / out)
+        out = str(tmp_path / out) if out else out
         flags = ["estimate", "--n", "30", "--reps", "20000", "--seed", "1", "--out", out]
         assert main(flags) == 1
         err = capsys.readouterr().err
@@ -523,6 +528,55 @@ class TestEnumerateCommand:
         assert header == ["permutation", "field_value"]
         assert len(rows) == math.factorial(4)
         assert rows[0][0] == "1,2,3,4"
+
+
+# Prints, as the last stdout line, the JSON list of the scipy modules that
+# a fresh interpreter holds after the lines before.
+_LOADED_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+class TestScipyLoading:
+    """Only the commands that call scipy load it, and they load it while
+    parsing their arguments, so that it counts as set-up."""
+
+    def test_enumerate_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_cost_matrix(3, 5), path)
+        script = "\n".join([
+            "import json, sys",
+            "import graf",
+            "import graf.cli",
+            "status = graf.cli.main(sys.argv[1:])",
+            _LOADED_SCIPY,
+            "sys.exit(status)",
+        ])
+        out = tmp_path / "fields.csv"
+        result = run_fresh(script, "enumerate", "--input", str(path), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+        assert len(read_csv(out)[1]) == 6
+
+    def test_parsing_estimate_loads_scipy(self):
+        script = "\n".join([
+            "import json, sys",
+            "from graf.cli import parse_args",
+            "parse_args(sys.argv[1:])",
+            _LOADED_SCIPY,
+        ])
+        result = run_fresh(script, *_required_flags("estimate"))
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(result.stdout))
+        assert {"scipy.integrate", "scipy.optimize", "scipy.special"} <= loaded
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_every_command_but_enumerate_loads_scipy(self, monkeypatch, command):
+        imported = []
+        monkeypatch.setattr(cli.importlib, "import_module", imported.append)
+        parse_args(_required_flags(command))
+        expected = [] if command == "enumerate" else [
+            "scipy.integrate", "scipy.optimize", "scipy.special"
+        ]
+        assert imported == expected
 
 
 def _enumerate_oracle(matrix, field=enumerate_field) -> bytes:
@@ -637,13 +691,8 @@ class TestEnumerateStream:
             "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
             "sys.exit(status or (f'peak RSS {kb} kB, limit 140 MB' if kb >= 140 * 1024 else 0))",
         ])
-        src = str(Path(graf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = tmp_path / "fields.csv"
-        result = subprocess.run(
-            [sys.executable, "-c", script, "enumerate", "--input", str(path), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        result = run_fresh(script, "enumerate", "--input", str(path), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert out.stat().st_size > 0
 

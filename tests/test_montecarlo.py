@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -349,8 +350,9 @@ class TestReplicateBlock:
         def no_greedy(entries):
             raise AssertionError("greedy ran")
 
-        montecarlo_lsa = montecarlo.linear_sum_assignment
-        monkeypatch.setattr(montecarlo, "linear_sum_assignment", recording_lsa)
+        # replicate_block imports the solver from scipy.optimize when called.
+        montecarlo_lsa = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording_lsa)
         monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
         replicate_block(6, [derive_seed(3, k) for k in range(7)], 1)
         assert calls == [True] * 7

@@ -1,4 +1,8 @@
+import pytest
+
 import graf
+
+from conftest import run_fresh
 
 # Every public name, so that an addition or deletion shows in the diff.
 PUBLIC_NAMES = [
@@ -47,3 +51,26 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(graf.__all__) == PUBLIC_NAMES
+
+
+def test_bounds_names_load_on_first_use():
+    # graf.bounds imports scipy, so `import graf` leaves it unloaded until
+    # one of its names is used; each name is listed by dir() before that.
+    script = "\n".join([
+        "import sys",
+        "import graf",
+        "assert 'graf.bounds' not in sys.modules",
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)",
+        "assert set(graf.__all__) <= set(dir(graf))",
+        "value = graf.upper_bound_expected_max(10)",
+        "from graf.bounds import upper_bound_expected_max",
+        "assert value == upper_bound_expected_max(10) > 0",
+        "assert all(hasattr(graf, name) for name in graf.__all__)",
+    ])
+    result = run_fresh(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        graf.no_such_name
