@@ -20,20 +20,17 @@ from graf.combinatorics import (
 )
 from graf.enumerator import (
     DimensionSummary,
-    NearMaxReport,
     ball_counts_exact,
     correlation_histogram_exact,
     enumerate_field,
     enumerated_field_mean,
     mean_correlation_exhaustive,
-    near_maximal_set,
     nearmax_table,
 )
 from graf.field import (
     CostMatrix,
     correlation,
     field_value,
-    permutation_texts,
     read_matrix_csv,
     sample_cost_entries,
     sample_cost_matrix,

@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     nearmax.add_argument("--reps", type=_replications, required=True)
     nearmax.add_argument("--seed", type=_seed_value, required=True)
     nearmax.add_argument("--m-reps", type=_replications, default=100_000)
-    nearmax.add_argument("--c-small", type=_positive_float, default=1.0)
-    nearmax.add_argument("--c-large", type=_positive_float, default=1.0)
     nearmax.add_argument("--sensitivity", action="store_true")
 
     enum = command("enumerate", "list every assignment's field value")
@@ -422,8 +420,6 @@ def _cmd_nearmax(config: argparse.Namespace) -> int:
         config.reps,
         config.seed,
         m_reps=config.m_reps,
-        c_small=config.c_small,
-        c_large=config.c_large,
         sensitivity=config.sensitivity,
         workers=config.workers,
     )
@@ -538,14 +534,17 @@ def run(config: argparse.Namespace) -> int:
 
 def _check_out_dir(out: str | None) -> None:
     """Fail before any work when ``--out`` cannot be written: it must be
-    a non-empty path that is not a directory, and its directory must exist
-    and be writable."""
+    a non-empty path that is not a directory, that names a regular file
+    if it exists (links followed), since the write renames a new file over
+    it, and its directory must exist and be writable."""
     if out is None:
         return
     if not out:
         raise OSError(f"cannot write --out {out!r}: the path is empty")
     if os.path.isdir(out):
         raise OSError(f"cannot write --out {out!r}: it is a directory")
+    if os.path.exists(out) and not os.path.isfile(out):
+        raise OSError(f"cannot write --out {out!r}: it is not a regular file")
     directory = os.path.dirname(out) or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise OSError(f"cannot write --out {out!r}: no writable directory {directory!r}")

@@ -127,9 +127,12 @@ class DimensionSummary:
     records how many standard errors the plug-in mean was shifted for
     sensitivity rows (0 for the base row).
 
-    ``bound_small`` and ``bound_large`` evaluate the two shapes of the
-    asymptotic bound on ``E log|A|`` with the caller's constants (the
-    paper leaves them unspecified).  Since the sets nest, ``dimension`` is
+    ``bound_small`` and ``bound_large`` are the two shapes of the
+    asymptotic bound on ``E log|A|``, ``(n log n)**(3/4)`` and
+    ``sqrt(eps) * n log n``, with unit constants: the paper leaves the
+    constants unspecified, and each column scales by any of them
+    (:func:`~graf.bounds.nearmax_theorem_bound` takes them and picks the
+    regime).  Since the sets nest, ``dimension`` is
     nondecreasing in epsilon on the same matrices; at fixed epsilon it is
     not promised to fall with ``n`` (at epsilon 0.1 it rises over n = 4..9).
     """
@@ -155,8 +158,6 @@ def nearmax_table(
     replications: int,
     master_seed: int,
     m_reps: int = 100_000,
-    c_small: float = 1.0,
-    c_large: float = 1.0,
     sensitivity: bool = False,
     workers: int = 1,
 ) -> list[DimensionSummary]:
@@ -188,8 +189,6 @@ def nearmax_table(
         raise ValueError("need at least 2 replications")
     if m_reps < 2:
         raise ValueError(f"m_reps must be at least 2, got {m_reps}")
-    if not (0.0 < c_small < math.inf and 0.0 < c_large < math.inf):
-        raise ValueError("bound constants must be positive and finite")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
     per_task = {n: max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n)) for n in n_list}
     most_tasks = max(
@@ -241,8 +240,8 @@ def nearmax_table(
                         se_dimension=float(indicator.std(ddof=1))
                         / math.sqrt(replications)
                         / log_nfact,
-                        bound_small=c_small * (n * math.log(n)) ** 0.75,
-                        bound_large=c_large * math.sqrt(eps) * n * math.log(n),
+                        bound_small=(n * math.log(n)) ** 0.75,
+                        bound_large=math.sqrt(eps) * n * math.log(n),
                         m_shift_se=shift,
                     )
                 )

@@ -9,7 +9,8 @@ array ``u``: row ``i`` takes column ``u[i]``.  Its field value is
 so every coordinate of the field is standard Gaussian.  The correlation
 between two coordinates is the proportion of agreeing positions, which ties
 the field's L2 geometry to the Hamming distance on permutations.  Text
-output writes assignments 1-based (:func:`permutation_texts`).
+output writes assignments 1-based, in one-line notation
+(:func:`_permutation_codes`).
 """
 
 from __future__ import annotations
@@ -24,21 +25,15 @@ import numpy as np
 SEED_MAX = 2**64 - 1
 
 
-def permutation_texts(table: np.ndarray | Sequence[Sequence[int]]) -> list[str]:
-    """Text of each row of 0-based column indices (such as a permutation
-    table) in 1-based, comma-separated one-line notation: ``[1, 0, 2]``
-    becomes ``"2,1,3"``.
+def _permutation_codes(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """ASCII codes of each row of 0-based column indices (such as a
+    permutation table) in 1-based, comma-separated one-line notation, one
+    column per row of ``table``: digits at even places, commas between.
+    Row ``[1, 0, 2]`` becomes the column of ``"2,1,3"``.
 
     Rows hold 1 to 9 indices, each in ``0..8``, so every 1-based index is
     one digit; anything else raises ``ValueError``.
     """
-    codes = _permutation_codes(table)
-    return np.ascontiguousarray(codes.T).view(f"S{len(codes)}").ravel().astype(str).tolist()
-
-
-def _permutation_codes(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    """ASCII codes of :func:`permutation_texts`, one column per row of
-    ``table``: digits at even places, commas between."""
     table = np.asarray(table)
     if table.ndim != 2 or not 1 <= table.shape[1] <= 9:
         raise ValueError(f"rows must hold 1 to 9 column indices, got shape {table.shape}")
@@ -317,6 +312,11 @@ def read_matrix_csv(path: str | PathLike[str]) -> CostMatrix:
     entries = []
     largest, largest_line = 0.0, 0
     for lineno, row in rows:
+        if "_" in row:
+            # float() takes PEP 515 underscores ('1_0' reads as 10.0), and
+            # write_matrix_csv never writes one.
+            cell = next(cell for cell in row.split(",") if "_" in cell)
+            raise error(lineno, f"underscore in cell {cell!r}")
         try:
             values = [float(cell) for cell in row.split(",")]
         except ValueError as exc:

@@ -426,13 +426,9 @@ class TestBoundsCommand:
         assert out.startswith("n,upper_E")
 
 
-# Required flags of the two commands that take the bound constants.
+# Required flags of the command that takes the bound constants.
 _BOUND_CONSTANT_COMMANDS = {
     "bounds": ["bounds", "--n-list", "5", "--eps", "0.5"],
-    "nearmax": [
-        "nearmax", "--n", "4", "--eps", "0.2", "--reps", "10", "--seed", "0",
-        "--m-reps", "100",
-    ],
 }
 
 
@@ -451,22 +447,48 @@ class TestBoundConstants:
             assert f"--{option}: must be positive and finite, got {value}" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["c-small", "c-large"])
+    def test_nearmax_takes_no_constants(self, tmp_path, capsys, option):
+        # nearmax prints each bound shape with unit constants; only bounds,
+        # whose one column picks a regime per size, scales them.
+        out = tmp_path / "out.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}=2\n")
+        base = ["nearmax", "--n", "4", "--eps", "0.2", "--reps", "10", "--seed", "0",
+                "--m-reps", "100", "--out", str(out)]
+        for given in ([f"--{option}", "2"], ["--config", str(config)]):
+            assert main(base + given) == 2
+            capsys.readouterr()
+            assert not out.exists()
+        bounds = _BOUND_CONSTANT_COMMANDS["bounds"] + [f"--{option}", "2", "--out", str(out)]
+        assert main(bounds) == 0
+
 
 class TestOutputFile:
     @pytest.mark.parametrize(
-        "out", ["missing/x.json", ".", ""], ids=["missing-directory", "directory", "empty"]
+        "out",
+        ["missing/x.json", ".", "", "fifo", "link"],
+        ids=["missing-directory", "directory", "empty", "fifo", "link-to-fifo"],
     )
     def test_unwritable_out_fails_before_the_study(self, tmp_path, monkeypatch, capsys, out):
         def not_called(config):
             pytest.fail("the study ran although --out cannot be written")
 
         monkeypatch.setitem(cli._COMMANDS, "estimate", not_called)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        (tmp_path / "link").symlink_to(fifo)
         out = str(tmp_path / out) if out else out
         flags = ["estimate", "--n", "30", "--reps", "20000", "--seed", "1", "--out", out]
         assert main(flags) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"graf: error: cannot write --out {out!r}: ")
         assert not (tmp_path / "missing").exists()
+        # Writing would rename a regular file over the FIFO or the link.
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.path.islink(tmp_path / "link")
+        if out.endswith(("fifo", "link")):
+            assert err.endswith(": it is not a regular file\n")
 
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]

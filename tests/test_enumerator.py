@@ -12,6 +12,7 @@ import pytest
 import graf
 from graf import enumerator, montecarlo
 from graf._permutations import perm_table
+from graf.bounds import nearmax_regime_threshold, nearmax_theorem_bound
 from graf.combinatorics import ball_size, rencontres_count
 from graf.enumerator import (
     ball_counts_exact,
@@ -339,12 +340,25 @@ class TestDimensionStudy:
             nearmax_table([4], [1.2], 10, 0, m_reps=100)
         with pytest.raises(ValueError):
             nearmax_table([4], [], 10, 0, m_reps=100)
-        with pytest.raises(ValueError, match="bound constants must be positive"):
-            nearmax_table([4], [0.2], 10, 0, m_reps=100, c_small=-1.0, c_large=0.0)
-        for bad in (math.nan, math.inf):
-            for constants in ({"c_small": bad}, {"c_large": bad}):
-                with pytest.raises(ValueError, match="bound constants must be positive"):
-                    nearmax_table([4], [0.2], 10, 0, m_reps=100, **constants)
+
+    def test_bound_columns_are_the_theorem_bound_with_unit_constants(self):
+        # Each size's regime threshold and the next float above it, so that
+        # every size has eps on both sides of its own threshold.
+        sizes = range(2, 10)
+        thresholds = [nearmax_regime_threshold(n) for n in sizes]
+        eps_list = thresholds + [math.nextafter(t, 1.0) for t in thresholds]
+        rows = nearmax_table(list(sizes), eps_list, 2, 0, m_reps=2)
+        regimes = set()
+        for row in rows:
+            theorem = nearmax_theorem_bound(row.n, row.epsilon)
+            small = row.epsilon <= nearmax_regime_threshold(row.n)
+            regimes.add((row.n, small))
+            if small:
+                assert row.bound_small == theorem
+            else:
+                # bounds groups sqrt(eps) * (n log n), so the last bit may differ.
+                assert abs(row.bound_large - theorem) <= math.ulp(theorem)
+        assert regimes == {(n, small) for n in sizes for small in (True, False)}
 
     @pytest.mark.parametrize(
         "replications, m_reps, message",

@@ -12,12 +12,12 @@ from graf.field import (
     SEED_MAX,
     CostMatrix,
     _SEED_BATCH_MIN,
+    _permutation_codes,
     _raw_passes,
     _seed_array,
     _seed_sequence_words,
     correlation,
     field_value,
-    permutation_texts,
     read_matrix_csv,
     sample_chunk_size,
     sample_cost_matrix,
@@ -51,6 +51,13 @@ def coordinate_distance(u, v) -> float:
     return math.sqrt(math.fsum(squares))
 
 
+def decoded_texts(table) -> list[str]:
+    """The texts of ``_permutation_codes(table)``, decoded column by column."""
+    codes = _permutation_codes(table)
+    text = codes.T.tobytes().decode("ascii")
+    return [text[k : k + len(codes)] for k in range(0, len(text), len(codes))]
+
+
 class TestPermutation:
     @pytest.mark.parametrize("bad", [(), (1,), (0, 0), (0, 2), (-1, 0)])
     def test_rejects_non_bijections(self, bad):
@@ -61,13 +68,13 @@ class TestPermutation:
 
     def test_text_round_trip(self, rng):
         u = rng.permutation(7)
-        (text,) = permutation_texts([u])
+        (text,) = decoded_texts([u])
         assert np.array_equal(np.array(text.split(","), dtype=int) - 1, u)
-        assert permutation_texts([[2, 0, 1]]) == ["3,1,2"]
+        assert decoded_texts([[2, 0, 1]]) == ["3,1,2"]
 
     def test_table_texts_match_permutation_text(self):
         rows = list(itertools.permutations(range(4)))
-        texts = permutation_texts(np.array(rows, dtype=np.int8))
+        texts = decoded_texts(np.array(rows, dtype=np.int8))
         assert texts[0] == "1,2,3,4" and texts[-1] == "4,3,2,1"
         # One-line notation: the 1-based column of each row, comma-separated.
         assert texts == [",".join(str(j + 1) for j in row) for row in rows]
@@ -76,12 +83,12 @@ class TestPermutation:
     def test_texts_match_python_join_on_perm_table(self, n):
         table = perm_table(n)
         expected = [",".join(str(j + 1) for j in row) for row in table.tolist()]
-        assert permutation_texts(table) == expected
+        assert decoded_texts(table) == expected
 
     @pytest.mark.parametrize("rows", [[list(range(10))], [[9]], [[0, -1]], [[]]])
     def test_texts_reject_indices_beyond_one_digit(self, rows):
         with pytest.raises(ValueError):
-            permutation_texts(rows)
+            decoded_texts(rows)
 
 
 class TestCostMatrix:
@@ -315,6 +322,7 @@ class TestSerialization:
         "text, line, message",
         [
             ("# n=2\n1,2\n\n3,x\n", 4, "could not convert string to float: 'x'"),
+            ("# n=2\n1_0,2\n3,4\n", 2, "underscore in cell '1_0'"),
             ("\n# n=two\n", 2, "malformed size header: '# n=two'"),
             ("# n=0\n", 1, "malformed size header: '# n=0'"),
             ("# n=-1\n", 1, "malformed size header: '# n=-1'"),
@@ -329,7 +337,7 @@ class TestSerialization:
             ("# n=2\n1e308,1\n-1.5e308,0\n", 3, "n=2 times the entry of magnitude 1.5e+308"),
         ],
         ids=[
-            "cell", "header", "zero-size", "negative-size", "underscore-size",
+            "cell", "underscore-cell", "header", "zero-size", "negative-size", "underscore-size",
             "plus-size", "space-size", "no-header", "empty",
             "row-count", "row-length", "non-finite", "overflowing-sums",
         ],

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "CostMatrix",
     "DimensionSummary",
     "EstimateReport",
-    "NearMaxReport",
     "SolveResult",
     "StatSummary",
     "ball_counts_exact",
@@ -28,11 +27,9 @@ PUBLIC_NAMES = [
     "greedy_lower_bound",
     "log_factorial",
     "mean_correlation_exhaustive",
-    "near_maximal_set",
     "nearmax_regime_threshold",
     "nearmax_table",
     "nearmax_theorem_bound",
-    "permutation_texts",
     "ratio_table",
     "read_matrix_csv",
     "rencontres_count",
