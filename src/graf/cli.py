@@ -47,6 +47,7 @@ from graf.field import (
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
 from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import (
+    _linear_sum_assignment,
     greedy_assignment,
     solve_max_bruteforce,
     solve_max_exact,
@@ -250,8 +251,27 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
-#: The scipy modules every command but `enumerate` calls into.
-_SCIPY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special")
+def _module(name: str):
+    """A set-up step that imports the module ``name``."""
+    return lambda: importlib.import_module(name)
+
+
+_SPECIAL = _module("scipy.special")
+# graf.bounds imports scipy.integrate, which imports scipy.optimize.
+_BOUNDS = _module("graf.bounds")
+_POOL = _module("concurrent.futures.process")
+
+#: What each command loads before it runs: the scipy parts it calls, and
+#: the process pool's modules for the commands that may start one.
+_SETUP = {
+    "enumerate": (),
+    "solve": (_linear_sum_assignment,),
+    "estimate": (_SPECIAL, _linear_sum_assignment, _POOL),
+    "nearmax": (_SPECIAL, _linear_sum_assignment, _POOL),
+    "verify": (_SPECIAL, _linear_sum_assignment),
+    "ratio-table": (_SPECIAL, _BOUNDS, _linear_sum_assignment, _POOL),
+    "bounds": (_BOUNDS,),
+}
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -259,9 +279,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     spliced in right after the subcommand, so explicit flags, which come
     later, win.
 
-    Every command but ``enumerate`` then loads scipy here, so that the
+    The command's :data:`_SETUP` steps then run here, so that what they
     load counts as set-up, not as the command's work, and a worker pool
-    forked later inherits it."""
+    forked later inherits it.  `estimate`'s CSV row holds bound columns,
+    so that format also loads graf.bounds."""
     parser = build_parser()
     argv = list(argv)
     at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
@@ -275,9 +296,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if sub is not None and path is not None:
         argv[at + 1 : at + 1] = _config_tokens(path, sub)
     config = parser.parse_args(argv)
-    if config.subcommand != "enumerate":
-        for name in _SCIPY_MODULES:
-            importlib.import_module(name)
+    setup = _SETUP[config.subcommand]
+    if getattr(config, "format", None) == "csv":
+        setup += (_BOUNDS,)
+    for load in setup:
+        load()
     return config
 
 
@@ -532,22 +555,26 @@ def run(config: argparse.Namespace) -> int:
     return _COMMANDS[config.subcommand](config)
 
 
-def _check_out_dir(out: str | None) -> None:
-    """Fail before any work when ``--out`` cannot be written: it must be
-    a non-empty path that is not a directory, that names a regular file
-    if it exists (links followed), since the write renames a new file over
-    it, and its directory must exist and be writable."""
+def _check_out_dir(out: str | None) -> str | None:
+    """The path to write for ``--out``, with links resolved, so that the
+    write renames a new file over a link's target, not over the link.
+
+    Fails before any work when ``--out`` cannot be written: it must be a
+    non-empty path whose target is not a directory, is a regular file if
+    it exists, and lies in a directory that exists and is writable."""
     if out is None:
-        return
+        return None
     if not out:
         raise OSError(f"cannot write --out {out!r}: the path is empty")
-    if os.path.isdir(out):
+    target = os.path.realpath(out)
+    if os.path.isdir(target):
         raise OSError(f"cannot write --out {out!r}: it is a directory")
-    if os.path.exists(out) and not os.path.isfile(out):
+    if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"cannot write --out {out!r}: it is not a regular file")
-    directory = os.path.dirname(out) or "."
+    directory = os.path.dirname(target)
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise OSError(f"cannot write --out {out!r}: no writable directory {directory!r}")
+    return target
 
 
 def _configure_logging() -> None:
@@ -571,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _configure_logging()
         config = parse_args(list(argv))
-        _check_out_dir(config.out)
+        config.out = _check_out_dir(config.out)
         status = run(config)
     except UsageError as exc:
         print(f"graf: error: {exc}", file=sys.stderr)

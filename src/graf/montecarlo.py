@@ -18,17 +18,19 @@ import logging
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from graf.combinatorics import log_factorial
 from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
-from graf.solvers import greedy_columns
+from graf.solvers import _linear_sum_assignment, greedy_columns
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -130,13 +132,12 @@ def replicate_block(
     Matrices are drawn and solved a sampling pass at a time, so memory
     does not grow with the batch.
     """
-    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
-
     if not 1 <= columns <= len(STAT_KEYS):
         raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")
     rows = np.empty((len(seeds), columns))
     root_n = math.sqrt(n)
     step = sample_chunk_size(n)
+    linear_sum_assignment = _linear_sum_assignment()
     for start in range(0, len(seeds), step):
         entries = sample_cost_entries(n, seeds[start : start + step])
         out = rows[start : start + len(entries)]
@@ -318,6 +319,9 @@ def _task_pool(workers: int, tasks: int):
     if workers <= 1:
         yield map
         return
+    # multiprocessing loads with the first pool, not with this module.
+    from concurrent.futures.process import ProcessPoolExecutor
+
     logger.info("task pool: %d workers", workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)

@@ -3,15 +3,22 @@
 ``solve_max_exact`` delegates to scipy's dense shortest-augmenting-path
 solver (Jonker-Volgenant style with dual potentials), which handles
 real-valued costs exactly; the exhaustive solver doubles as its oracle for
-small sizes.  The greedy construction walks the rows in order and takes the
-best still-unused column, which lower-bounds the maximum.
+small sizes.  :func:`_linear_sum_assignment` loads that solver from its
+compiled module alone, without the rest of ``scipy.optimize``.  The greedy
+construction walks the rows in order and takes the best still-unused
+column, which lower-bounds the maximum.
 ``greedy_columns`` implements it on a whole batch of matrices at once;
 ``greedy_assignment`` runs it on a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +40,54 @@ class SolveResult:
     columns: np.ndarray
     raw_sum: float
     field_value: float
+
+
+#: scipy's compiled module that defines ``linear_sum_assignment``.
+_LSAP_MODULE = "scipy.optimize._lsap"
+
+
+def _lsap_path() -> str | None:
+    """Where :data:`_LSAP_MODULE`'s extension file would be, or None when
+    scipy is not installed.  Finding scipy imports none of it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return os.path.join(spec.submodule_search_locations[0], "optimize", "_lsap" + suffix)
+
+
+def _load_lsap(path: str):
+    """``linear_sum_assignment`` of the extension file at ``path``, loaded
+    without its package and left out of ``sys.modules``, so that a later
+    ``import scipy.optimize`` loads the package as usual.  Raises
+    ImportError when the file is missing or does not load."""
+    spec = importlib.util.spec_from_file_location(_LSAP_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # A single-phase extension enters sys.modules as it is created.
+    if sys.modules.get(_LSAP_MODULE) is module:
+        del sys.modules[_LSAP_MODULE]
+    return module.linear_sum_assignment
+
+
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, a builtin of its compiled module.
+
+    Importing ``scipy.optimize`` costs about 0.25 s for this one function,
+    which loads alone in under 1 ms.  The package's own function is taken
+    when the package is already loaded, or when the file does not load;
+    either way it is the same builtin, so no result can differ.
+    """
+    path = _lsap_path()
+    if path is not None and "scipy.optimize" not in sys.modules:
+        try:
+            return _load_lsap(path)
+        except ImportError:
+            pass
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
 
 
 def _result(entries: np.ndarray, columns: np.ndarray) -> SolveResult:
@@ -70,17 +125,13 @@ def solve_max_exact(c: CostMatrix) -> SolveResult:
     The optimal value matches exhaustive search exactly; which optimal
     assignment is returned under ties is implementation-defined.
     """
-    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
-
-    _, columns = linear_sum_assignment(c.entries, maximize=True)
+    _, columns = _linear_sum_assignment()(c.entries, maximize=True)
     return _result(c.entries, columns)
 
 
 def solve_min_exact(c: CostMatrix) -> SolveResult:
     """Minimum-sum assignment; the maximizer of the negated matrix."""
-    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not at import
-
-    _, columns = linear_sum_assignment(c.entries)
+    _, columns = _linear_sum_assignment()(c.entries)
     return _result(c.entries, columns)
 
 
@@ -96,12 +147,13 @@ def greedy_columns(entries: np.ndarray) -> np.ndarray:
     """Greedy columns of each matrix in a ``(B, n, n)`` batch, as a
     ``(B, n)`` array: row ``i`` of each matrix takes its best still-unused
     column, the smallest such column under ties.  Each row step is one
-    masked argmax over the batch."""
+    argmax over a working copy of the batch, in which the columns already
+    taken read -inf in the rows still to come."""
+    work = entries.astype(float)
     columns = np.empty(entries.shape[:2], dtype=np.intp)
-    used = np.zeros(entries.shape[:2], dtype=bool)
     batch = np.arange(len(entries))
     for i in range(entries.shape[1]):
-        # argmax takes the first maximum; used columns read -inf, below any cost.
-        columns[:, i] = np.where(used, -np.inf, entries[:, i]).argmax(axis=1)
-        used[batch, columns[:, i]] = True
+        # argmax takes the first maximum; -inf lies below any cost.
+        columns[:, i] = work[:, i].argmax(axis=1)
+        work[batch, i + 1 :, columns[:, i]] = -np.inf
     return columns

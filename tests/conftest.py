@@ -56,7 +56,7 @@ def fake_pool(monkeypatch):
 
             return results()
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
     assume_cores(monkeypatch, 2)
     return record
 

@@ -490,6 +490,23 @@ class TestOutputFile:
         if out.endswith(("fifo", "link")):
             assert err.endswith(": it is not a regular file\n")
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["link-to-file", "link-to-missing-file"])
+    def test_link_writes_its_target(self, tmp_path, capsys, exists):
+        # The target lies in another directory, which must take the new file.
+        target = tmp_path / "elsewhere" / "target.csv"
+        target.parent.mkdir()
+        if exists:
+            target.write_text("old\n")
+        link = tmp_path / "ln.csv"
+        link.symlink_to(target)
+        assert main(["bounds", "--n-list", "3", "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--n-list", "3"]) == 0
+        assert os.path.islink(link) and os.readlink(link) == str(target)
+        assert target.read_text() == capsys.readouterr().out
+        assert sorted(os.listdir(tmp_path)) == ["elsewhere", "ln.csv"]
+        assert os.listdir(target.parent) == ["target.csv"]
+
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
     )
@@ -556,10 +573,49 @@ class TestEnumerateCommand:
 # a fresh interpreter holds after the lines before.
 _LOADED_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
+# Prints, as the last stdout line, the JSON list of the set-up modules
+# that a fresh interpreter holds after the lines before, with "lsa" when
+# the linear-sum-assignment loader has run.
+_LOADED_SETUP = "\n".join([
+    "from graf.solvers import _linear_sum_assignment",
+    "names = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'multiprocessing')",
+    "loaded = [m for m in names if m in sys.modules]",
+    "loaded += ['lsa'] if _linear_sum_assignment.cache_info().currsize else []",
+    "print(json.dumps(sorted(loaded)))",
+])
+
+# What parse_args loads for each command: graf.bounds brings
+# scipy.integrate, which brings scipy.optimize; the commands that may
+# start a worker pool bring multiprocessing.
+_SETUP_LOADS = {
+    "enumerate": [],
+    "solve": ["lsa"],
+    "estimate": ["lsa", "multiprocessing", "scipy.special"],
+    "nearmax": ["lsa", "multiprocessing", "scipy.special"],
+    "verify": ["lsa", "scipy.special"],
+    "ratio-table": [
+        "lsa", "multiprocessing", "scipy.integrate", "scipy.optimize", "scipy.special"
+    ],
+    "bounds": ["scipy.integrate", "scipy.optimize", "scipy.special"],
+}
+
+
+def _setup_loads(*args: str) -> list[str]:
+    """What a fresh interpreter's parse_args(args) loads (see _LOADED_SETUP)."""
+    script = "\n".join([
+        "import json, sys",
+        "from graf.cli import parse_args",
+        "parse_args(sys.argv[1:])",
+        _LOADED_SETUP,
+    ])
+    result = run_fresh(script, *args)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
 
 class TestScipyLoading:
-    """Only the commands that call scipy load it, and they load it while
-    parsing their arguments, so that it counts as set-up."""
+    """Each command loads the parts of scipy it calls, and only those,
+    while parsing its arguments, so that they count as set-up."""
 
     def test_enumerate_loads_no_scipy(self, tmp_path):
         path = tmp_path / "matrix.csv"
@@ -579,6 +635,7 @@ class TestScipyLoading:
         assert len(read_csv(out)[1]) == 6
 
     def test_parsing_estimate_loads_scipy(self):
+        # The compiled LSA loads without scipy.optimize and its dependencies.
         script = "\n".join([
             "import json, sys",
             "from graf.cli import parse_args",
@@ -588,17 +645,33 @@ class TestScipyLoading:
         result = run_fresh(script, *_required_flags("estimate"))
         assert result.returncode == 0, result.stderr
         loaded = set(json.loads(result.stdout))
-        assert {"scipy.integrate", "scipy.optimize", "scipy.special"} <= loaded
+        assert "scipy.special" in loaded
+        assert not {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"} & loaded
 
     @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
-    def test_every_command_but_enumerate_loads_scipy(self, monkeypatch, command):
-        imported = []
-        monkeypatch.setattr(cli.importlib, "import_module", imported.append)
-        parse_args(_required_flags(command))
-        expected = [] if command == "enumerate" else [
-            "scipy.integrate", "scipy.optimize", "scipy.special"
-        ]
-        assert imported == expected
+    def test_every_command_but_enumerate_loads_scipy(self, command):
+        assert _setup_loads(*_required_flags(command)) == _SETUP_LOADS[command]
+
+    def test_estimate_csv_loads_the_bounds(self):
+        # The CSV row holds the bound columns, which graf.bounds computes.
+        loaded = _setup_loads(*_required_flags("estimate"), "--format", "csv")
+        assert loaded == sorted(_SETUP_LOADS["estimate"] + ["scipy.integrate", "scipy.optimize"])
+
+    def test_nearmax_computes_with_no_further_scipy(self, tmp_path):
+        script = "\n".join([
+            "import json, sys",
+            "from graf import cli",
+            "config = cli.parse_args(sys.argv[1:])",
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "status = cli.run(config)",
+            "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "print(json.dumps(after == before))",
+        ])
+        flags = ["nearmax", "--n", "3", "--eps", "0.5", "--reps", "4", "--m-reps", "8",
+                 "--seed", "0", "--workers", "1", "--out", str(tmp_path / "t.csv")]
+        result = run_fresh(script, *flags)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) is True
 
 
 def _enumerate_oracle(matrix, field=enumerate_field) -> bytes:
@@ -946,7 +1019,7 @@ class TestWorkerFailure:
             def map(self, fn, items):
                 raise BrokenProcessPool("A process in the process pool was terminated")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", BrokenPool)
         assume_cores(monkeypatch, 2)
         assert main(self.FLAGS) == 1
         err = capsys.readouterr().err

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -350,9 +349,9 @@ class TestReplicateBlock:
         def no_greedy(entries):
             raise AssertionError("greedy ran")
 
-        # replicate_block imports the solver from scipy.optimize when called.
-        montecarlo_lsa = scipy.optimize.linear_sum_assignment
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording_lsa)
+        # replicate_block takes the solver from the loader when called.
+        montecarlo_lsa = montecarlo._linear_sum_assignment()
+        monkeypatch.setattr(montecarlo, "_linear_sum_assignment", lambda: recording_lsa)
         monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
         replicate_block(6, [derive_seed(3, k) for k in range(7)], 1)
         assert calls == [True] * 7
@@ -451,7 +450,7 @@ class TestEstimate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 10)
         if cores is None:
             # No affinity set and no CPU count: one worker, in this process.

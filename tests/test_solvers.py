@@ -13,6 +13,9 @@ from hypothesis.extra.numpy import arrays
 import graf
 from graf.field import CostMatrix
 from graf.solvers import (
+    _linear_sum_assignment,
+    _load_lsap,
+    _lsap_path,
     greedy_assignment,
     greedy_columns,
     solve_max_bruteforce,
@@ -20,7 +23,7 @@ from graf.solvers import (
     solve_min_exact,
 )
 
-from conftest import greedy_oracle, random_matrix, random_permutation
+from conftest import greedy_oracle, random_matrix, random_permutation, run_fresh
 
 
 def diagonal_dominant(n: int, rng) -> CostMatrix:
@@ -128,6 +131,67 @@ class TestExactSolver:
         assert result.field_value == pytest.approx(result.raw_sum / 3.0, rel=1e-15)
 
 
+def small_integer_matrices():
+    """Square matrices of size 1 to 9 with entries in -2..2, so that
+    assignments tie often."""
+    sizes = st.integers(1, 9).map(lambda n: (n, n))
+    return sizes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2)))
+
+
+class TestLsaLoader:
+    """The solver comes from scipy's compiled module, loaded alone."""
+
+    def test_loads_the_file_without_scipy_optimize(self):
+        # A silent fallback would import scipy.optimize, about 0.25 s.
+        script = "\n".join([
+            "import sys",
+            "from graf.solvers import _linear_sum_assignment",
+            "lsa = _linear_sum_assignment()",
+            "assert 'scipy.optimize' not in sys.modules, 'fell back to scipy.optimize'",
+            "assert 'scipy.optimize._lsap' not in sys.modules",
+            "assert type(lsa).__name__ == 'builtin_function_or_method', lsa",
+            "import scipy.optimize",
+            "assert scipy.optimize.linear_sum_assignment is lsa",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_file_falls_back(self, tmp_path):
+        script = "\n".join([
+            "import sys",
+            "from graf import solvers",
+            f"solvers._lsap_path = lambda: {str(tmp_path / '_lsap.so')!r}",
+            "lsa = solvers._linear_sum_assignment()",
+            "assert 'scipy.optimize' in sys.modules",
+            "import scipy.optimize",
+            "assert lsa is scipy.optimize.linear_sum_assignment",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_takes_the_loaded_package(self):
+        script = "\n".join([
+            "import scipy.optimize",
+            "from graf import solvers",
+            "def not_called(path):",
+            "    raise AssertionError('loaded the file although scipy.optimize was loaded')",
+            "solvers._load_lsap = not_called",
+            "assert solvers._linear_sum_assignment() is scipy.optimize.linear_sum_assignment",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_matrices(), st.booleans())
+    def test_file_matches_scipy_optimize(self, entries, maximize):
+        import scipy.optimize
+
+        rows, columns = _load_lsap(_lsap_path())(entries, maximize=maximize)
+        expected = scipy.optimize.linear_sum_assignment(entries, maximize=maximize)
+        assert np.array_equal(rows, expected[0])
+        assert np.array_equal(columns, expected[1])
+
+
 class TestMinSolver:
     def test_two_by_two(self):
         result = solve_min_exact(CostMatrix([[0.0, 2.0], [3.0, 1.0]]))
@@ -183,9 +247,34 @@ def small_integer_batches():
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 2)))
 
 
+def greedy_where_oracle(entries: np.ndarray) -> np.ndarray:
+    """Greedy columns of a ``(B, n, n)`` batch, each row step a masked
+    argmax in which the used columns read -inf."""
+    columns = np.empty(entries.shape[:2], dtype=np.intp)
+    used = np.zeros(entries.shape[:2], dtype=bool)
+    batch = np.arange(len(entries))
+    for i in range(entries.shape[1]):
+        columns[:, i] = np.where(used, -np.inf, entries[:, i]).argmax(axis=1)
+        used[batch, columns[:, i]] = True
+    return columns
+
+
 class TestGreedyColumns:
     @settings(max_examples=200, deadline=None)
     @given(small_integer_batches())
     def test_matches_row_loop_oracle(self, entries):
         expected = np.array([greedy_oracle(c) for c in entries])
         assert np.array_equal(greedy_columns(entries), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_batches())
+    def test_matches_masked_argmax_oracle(self, entries):
+        # Tied entries: the smallest column wins in both.
+        assert np.array_equal(greedy_columns(entries), greedy_where_oracle(entries))
+
+    @pytest.mark.parametrize("batch, n", [(1, 200), (1, 9), (655, 10)])
+    def test_sampled_batches_match_masked_argmax_oracle(self, rng, batch, n):
+        entries = rng.standard_normal((batch, n, n))
+        kept = entries.copy()
+        assert np.array_equal(greedy_columns(entries), greedy_where_oracle(entries))
+        assert np.array_equal(entries, kept)
