@@ -54,37 +54,11 @@ from graf.solvers import (
 
 __version__ = "0.1.0"
 
-# graf.bounds imports scipy.integrate and scipy.special, so its names are
-# loaded on first use (PEP 562), and `import graf` loads no scipy.
-_BOUNDS_NAMES = (
-    "expected_max_iid_gaussian",
-    "greedy_lower_bound",
-    "nearmax_regime_threshold",
-    "nearmax_theorem_bound",
-    "trivial_upper_bound_expected_max",
-    "upper_bound_expected_max",
-    "variance_lower_bound",
-)
-
-# The public API is exactly the names imported above and those of bounds.
+# The public API is exactly the names imported above.  The bound functions
+# stay in graf.bounds, which imports scipy.integrate and scipy.special, so
+# `import graf` loads no scipy.
 __all__ = sorted(
-    [
-        name
-        for name, value in globals().items()
-        if not name.startswith("_") and not isinstance(value, _ModuleType)
-    ]
-    + list(_BOUNDS_NAMES)
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 )
-
-
-def __getattr__(name: str):
-    if name not in _BOUNDS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from graf import bounds
-
-    value = globals()[name] = getattr(bounds, name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_BOUNDS_NAMES))

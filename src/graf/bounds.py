@@ -11,7 +11,6 @@ two near-maximal-set bound shapes with caller-supplied constants.
 from __future__ import annotations
 
 import math
-import threading
 
 from scipy.integrate import quad
 from scipy.special import log_ndtr
@@ -27,7 +26,6 @@ _QUAD_TOL = 1e-12
 MU_ABS_TOL = 1e-10
 
 _mu_cache: dict[int, float] = {1: 0.0}
-_mu_lock = threading.Lock()
 
 
 def expected_max_iid_gaussian(k: int) -> float:
@@ -35,14 +33,12 @@ def expected_max_iid_gaussian(k: int) -> float:
 
     Evaluates ``integral of x * k * phi(x) * Phi(x)**(k-1)`` over
     ``[-12, 12]`` with adaptive quadrature to absolute tolerance 1e-10.
-    Values are memoized; the cache is safe for concurrent use.
+    Values are memoized.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
-    with _mu_lock:
-        cached = _mu_cache.get(k)
-    if cached is not None:
-        return cached
+    if k in _mu_cache:
+        return _mu_cache[k]
 
     log_k = math.log(k)
 
@@ -66,9 +62,8 @@ def expected_max_iid_gaussian(k: int) -> float:
         raise ArithmeticError(
             f"quadrature for mu_{k} did not converge: estimated error {abserr:.3e}"
         )
-    with _mu_lock:
-        _mu_cache.setdefault(k, float(value))
-    return float(value)
+    _mu_cache[k] = float(value)
+    return _mu_cache[k]
 
 
 def upper_bound_expected_max(n: int) -> float:

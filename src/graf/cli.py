@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, sub in subs.choices.items():
         sub.add_argument("--config", default=None, help="key=value file; flags win")
         sub.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        if name in ("estimate", "ratio-table", "nearmax"):
+        if _POOL in _COMMANDS[name][1]:
             sub.add_argument(
                 "--workers",
                 type=_positive_int,
@@ -261,28 +261,16 @@ _SPECIAL = _module("scipy.special")
 _BOUNDS = _module("graf.bounds")
 _POOL = _module("concurrent.futures.process")
 
-#: What each command loads before it runs: the scipy parts it calls, and
-#: the process pool's modules for the commands that may start one.
-_SETUP = {
-    "enumerate": (),
-    "solve": (_linear_sum_assignment,),
-    "estimate": (_SPECIAL, _linear_sum_assignment, _POOL),
-    "nearmax": (_SPECIAL, _linear_sum_assignment, _POOL),
-    "verify": (_SPECIAL, _linear_sum_assignment),
-    "ratio-table": (_SPECIAL, _BOUNDS, _linear_sum_assignment, _POOL),
-    "bounds": (_BOUNDS,),
-}
-
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse command-line arguments.  A ``--config`` file's tokens are
     spliced in right after the subcommand, so explicit flags, which come
     later, win.
 
-    The command's :data:`_SETUP` steps then run here, so that what they
-    load counts as set-up, not as the command's work, and a worker pool
-    forked later inherits it.  `estimate`'s CSV row holds bound columns,
-    so that format also loads graf.bounds."""
+    The command's set-up steps from :data:`_COMMANDS` then run here, so
+    that what they load counts as set-up, not as the command's work, and a
+    worker pool forked later inherits it.  `estimate`'s CSV row holds
+    bound columns, so that format also loads graf.bounds."""
     parser = build_parser()
     argv = list(argv)
     at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
@@ -296,7 +284,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if sub is not None and path is not None:
         argv[at + 1 : at + 1] = _config_tokens(path, sub)
     config = parser.parse_args(argv)
-    setup = _SETUP[config.subcommand]
+    _, setup = _COMMANDS[config.subcommand]
     if getattr(config, "format", None) == "csv":
         setup += (_BOUNDS,)
     for load in setup:
@@ -345,20 +333,21 @@ _RATIO_COLUMNS = {
     "var_gbar": attrgetter("field_mean.variance"),
     "cov_gbar_L": attrgetter("cov_field_mean_residual"),
     "ratio": attrgetter("ratio"),
-    "upper_E": lambda r: graf.upper_bound_expected_max(r.n),
-    "greedy_lower_E": lambda r: graf.greedy_lower_bound(r.n),
-    "var_lower": lambda r: graf.variance_lower_bound(r.n),
+    "upper_E": lambda r: graf.bounds.upper_bound_expected_max(r.n),
+    "greedy_lower_E": lambda r: graf.bounds.greedy_lower_bound(r.n),
+    "var_lower": lambda r: graf.bounds.variance_lower_bound(r.n),
 }
 
 # CSV column -> value for one size n, in column order; `bounds` appends
-# its per-eps and per-delta columns after these.  The bounds functions are
-# looked up at call time, as graf.bounds loads on first use.
+# its per-eps and per-delta columns after these.  The bound cells here and
+# in _RATIO_COLUMNS read graf.bounds, which each command that writes them
+# imports first.
 _BOUNDS_COLUMNS = {
     "n": lambda n: n,
-    "upper_E": lambda n: graf.upper_bound_expected_max(n),
-    "trivial_upper_E": lambda n: graf.trivial_upper_bound_expected_max(n),
-    "greedy_lower_E": lambda n: graf.greedy_lower_bound(n),
-    "var_lower": lambda n: graf.variance_lower_bound(n),
+    "upper_E": lambda n: graf.bounds.upper_bound_expected_max(n),
+    "trivial_upper_E": lambda n: graf.bounds.trivial_upper_bound_expected_max(n),
+    "greedy_lower_E": lambda n: graf.bounds.greedy_lower_bound(n),
+    "var_lower": lambda n: graf.bounds.variance_lower_bound(n),
 }
 
 
@@ -383,10 +372,12 @@ def _cmd_solve(config: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(config: argparse.Namespace) -> int:
+    import graf.bounds
+
     def nearmax(eps: float):
         c_small, c_large = config.c_small, config.c_large
         return lambda n: (
-            graf.nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large)
+            graf.bounds.nearmax_theorem_bound(n, eps, c_small=c_small, c_large=c_large)
             if n >= 2
             else ""
         )
@@ -409,12 +400,16 @@ def _cmd_estimate(config: argparse.Namespace) -> int:
     if config.format == "json":
         text = to_json_text(_report_to_json(report))
     else:
+        import graf.bounds
+
         text = _table(_RATIO_COLUMNS.items(), [report])
     _write_output(config.out, [text])
     return 0
 
 
 def _cmd_ratio_table(config: argparse.Namespace) -> int:
+    import graf.bounds
+
     reports = ratio_table(config.n_list, config.reps, config.seed, workers=config.workers)
     _write_output(config.out, [_table(_RATIO_COLUMNS.items(), reports)])
     return 0
@@ -539,20 +534,24 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     return _FAILURE_EXIT if failed else 0
 
 
+#: Each command's handler, and what it loads before it runs: the scipy
+#: parts it calls, and the process pool's modules for the commands that
+#: may start one, which alone take --workers.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
-    "estimate": _cmd_estimate,
-    "ratio-table": _cmd_ratio_table,
-    "nearmax": _cmd_nearmax,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
+    "solve": (_cmd_solve, (_linear_sum_assignment,)),
+    "bounds": (_cmd_bounds, (_BOUNDS,)),
+    "estimate": (_cmd_estimate, (_SPECIAL, _linear_sum_assignment, _POOL)),
+    "ratio-table": (_cmd_ratio_table, (_SPECIAL, _BOUNDS, _linear_sum_assignment, _POOL)),
+    "nearmax": (_cmd_nearmax, (_SPECIAL, _linear_sum_assignment, _POOL)),
+    "enumerate": (_cmd_enumerate, ()),
+    "verify": (_cmd_verify, (_SPECIAL, _linear_sum_assignment)),
 }
 
 
 def run(config: argparse.Namespace) -> int:
     """Dispatch parsed arguments to their subcommand."""
-    return _COMMANDS[config.subcommand](config)
+    handler, _ = _COMMANDS[config.subcommand]
+    return handler(config)
 
 
 def _check_out_dir(out: str | None) -> str | None:

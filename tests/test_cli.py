@@ -126,7 +126,8 @@ class TestSampleSizeLimit:
         def exhausted(config):
             raise MemoryError("Unable to allocate 6.71 GiB for an array")
 
-        monkeypatch.setitem(cli._COMMANDS, "estimate", exhausted)
+        _, setup = cli._COMMANDS["estimate"]
+        monkeypatch.setitem(cli._COMMANDS, "estimate", (exhausted, setup))
         assert main(["estimate", "--n", "10", "--reps", "2", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err == "graf: error: out of memory: Unable to allocate 6.71 GiB for an array\n"
@@ -341,6 +342,31 @@ class TestConfigKeysMatchFlags:
         assert "unknown config key" in capsys.readouterr().err
 
 
+# The commands that may start a worker pool, which alone take --workers.
+_POOL_COMMANDS = ["estimate", "nearmax", "ratio-table"]
+
+
+class TestWorkersFlag:
+    def test_pool_commands_take_workers(self):
+        takes = sorted(
+            command for command, sub in _SUBCOMMANDS.items()
+            if "--workers" in sub._option_string_actions
+        )
+        assert takes == _POOL_COMMANDS
+
+    @pytest.mark.parametrize("command", ["bounds", "enumerate", "solve", "verify"])
+    def test_other_commands_reject_workers(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        base = _required_flags(command) + ["--out", str(out)]
+        assert main(base + ["--workers", "1"]) == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("workers=1\n")
+        assert main(base + ["--config", str(config)]) == 2
+        assert "unknown config key 'workers'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveCommand:
     def test_json_output_matches_solver(self, matrix_file, capsys):
         assert main(["solve", "--input", str(matrix_file), "--method", "exact"]) == 0
@@ -474,7 +500,8 @@ class TestOutputFile:
         def not_called(config):
             pytest.fail("the study ran although --out cannot be written")
 
-        monkeypatch.setitem(cli._COMMANDS, "estimate", not_called)
+        _, setup = cli._COMMANDS["estimate"]
+        monkeypatch.setitem(cli._COMMANDS, "estimate", (not_called, setup))
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         (tmp_path / "link").symlink_to(fifo)
@@ -656,6 +683,28 @@ class TestScipyLoading:
         # The CSV row holds the bound columns, which graf.bounds computes.
         loaded = _setup_loads(*_required_flags("estimate"), "--format", "csv")
         assert loaded == sorted(_SETUP_LOADS["estimate"] + ["scipy.integrate", "scipy.optimize"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["bounds", "--n-list", "1,3", "--eps", "0.1"],
+         ["estimate", "--n", "4", "--reps", "8", "--seed", "0", "--format", "csv",
+          "--workers", "1"]],
+        ids=["bounds", "estimate-csv"],
+    )
+    def test_commands_run_without_setup(self, tmp_path, flags):
+        # build_parser().parse_args runs no set-up step, so the command
+        # must import graf.bounds itself.
+        script = "\n".join([
+            "import sys",
+            "from graf import cli",
+            "config = cli.build_parser().parse_args(sys.argv[1:])",
+            "assert 'graf.bounds' not in sys.modules",
+            "sys.exit(cli.run(config))",
+        ])
+        result = run_fresh(script, *flags, "--out", str(tmp_path / "run.csv"))
+        assert result.returncode == 0, result.stderr
+        assert main(flags + ["--out", str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
     def test_nearmax_computes_with_no_further_scipy(self, tmp_path):
         script = "\n".join([
