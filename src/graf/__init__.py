@@ -55,7 +55,7 @@ from graf.solvers import (
 __version__ = "0.1.0"
 
 # The public API is exactly the names imported above.  The bound functions
-# stay in graf.bounds, which imports scipy.integrate and scipy.special, so
+# stay in graf.bounds, which loads two of scipy's compiled routines, so
 # `import graf` loads no scipy.
 __all__ = sorted(
     name

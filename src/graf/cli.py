@@ -257,7 +257,7 @@ def _module(name: str):
 
 
 _SPECIAL = _module("scipy.special")
-# graf.bounds imports scipy.integrate, which imports scipy.optimize.
+# graf.bounds loads QUADPACK's qagpe and log_ndtr, no scipy package.
 _BOUNDS = _module("graf.bounds")
 _POOL = _module("concurrent.futures.process")
 

@@ -3,10 +3,10 @@
 ``solve_max_exact`` delegates to scipy's dense shortest-augmenting-path
 solver (Jonker-Volgenant style with dual potentials), which handles
 real-valued costs exactly; the exhaustive solver doubles as its oracle for
-small sizes.  :func:`_linear_sum_assignment` loads that solver from its
-compiled module alone, without the rest of ``scipy.optimize``.  The greedy
-construction walks the rows in order and takes the best still-unused
-column, which lower-bounds the maximum.
+small sizes.  :func:`_scipy_compiled` loads that solver, and the two
+routines of :mod:`graf.bounds`, from their compiled modules alone, without
+their scipy packages.  The greedy construction walks the rows in order
+and takes the best still-unused column, which lower-bounds the maximum.
 ``greedy_columns`` implements it on a whole batch of matrices at once;
 ``greedy_assignment`` runs it on a batch of one.
 """
@@ -42,52 +42,64 @@ class SolveResult:
     field_value: float
 
 
-#: scipy's compiled module that defines ``linear_sum_assignment``.
-_LSAP_MODULE = "scipy.optimize._lsap"
-
-
-def _lsap_path() -> str | None:
-    """Where :data:`_LSAP_MODULE`'s extension file would be, or None when
-    scipy is not installed.  Finding scipy imports none of it."""
+def _extension_path(module: str) -> str | None:
+    """Where the extension file of ``scipy.<module>`` would be, or None
+    when scipy is not installed.  Finding scipy imports none of it."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         return None
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    return os.path.join(spec.submodule_search_locations[0], "optimize", "_lsap" + suffix)
+    return os.path.join(spec.submodule_search_locations[0], *module.split(".")) + suffix
 
 
-def _load_lsap(path: str):
-    """``linear_sum_assignment`` of the extension file at ``path``, loaded
+def _load_extension(name: str, path: str):
+    """The extension module ``name`` of the file at ``path``, loaded
     without its package and left out of ``sys.modules``, so that a later
-    ``import scipy.optimize`` loads the package as usual.  Raises
-    ImportError when the file is missing or does not load."""
-    spec = importlib.util.spec_from_file_location(_LSAP_MODULE, path)
+    import of the package loads it as usual.  Raises ImportError when the
+    file is missing or does not load."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     # A single-phase extension enters sys.modules as it is created.
-    if sys.modules.get(_LSAP_MODULE) is module:
-        del sys.modules[_LSAP_MODULE]
-    return module.linear_sum_assignment
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
 
 
 @functools.cache
-def _linear_sum_assignment():
-    """scipy's ``linear_sum_assignment``, a builtin of its compiled module.
-
-    Importing ``scipy.optimize`` costs about 0.25 s for this one function,
-    which loads alone in under 1 ms.  The package's own function is taken
-    when the package is already loaded, or when the file does not load;
-    either way it is the same builtin, so no result can differ.
-    """
-    path = _lsap_path()
-    if path is not None and "scipy.optimize" not in sys.modules:
+def _scipy_compiled(module: str, attr: str):
+    """``attr`` of scipy's compiled module ``scipy.<module>``, from its
+    file alone (about 1 ms, where the package takes 0.05-0.3 s), or from
+    the package when that is loaded or the file does not load: the same
+    object either way, so no result can differ."""
+    name = "scipy." + module
+    path = _extension_path(module)
+    if path is not None and name.rpartition(".")[0] not in sys.modules:
         try:
-            return _load_lsap(path)
+            return getattr(_load_extension(name, path), attr)
         except ImportError:
             pass
-    from scipy.optimize import linear_sum_assignment
+    return getattr(importlib.import_module(name), attr)
 
-    return linear_sum_assignment
+
+def _linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, a builtin of its compiled module."""
+    return _scipy_compiled("optimize._lsap", "linear_sum_assignment")
+
+
+def _quad(qagpe, func, a: float, b: float, *, epsabs, epsrel, limit, points):
+    """``(value, abserr)`` of ``scipy.integrate.quad`` over finite
+    ``a < b`` with break ``points``: the same call to QUADPACK's
+    ``qagpe``, given as the first argument.  A nonzero ``ier`` raises
+    ArithmeticError, where ``quad`` warns."""
+    inner = np.unique(points)
+    inner = inner[(a < inner) & (inner < b)]
+    value, abserr, ier = qagpe(
+        func, a, b, np.concatenate((inner, (0.0, 0.0))), (), 0, epsabs, epsrel, limit
+    )
+    if ier:
+        raise ArithmeticError(f"QUADPACK qagpe stopped with ier={ier}")
+    return value, abserr
 
 
 def _result(entries: np.ndarray, columns: np.ndarray) -> SolveResult:

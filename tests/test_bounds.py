@@ -1,9 +1,12 @@
+import functools
 import math
 
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
+from graf import bounds
 from graf.bounds import (
     expected_max_iid_gaussian,
     greedy_lower_bound,
@@ -14,12 +17,143 @@ from graf.bounds import (
     variance_lower_bound,
 )
 
+from conftest import run_fresh
+
 
 def survival_form_expected_max(k: int) -> float:
     """Independent oracle: E[max] = int_0^inf (1 - Phi^k) dx - int_0^inf Phi(-x)^k dx."""
     upper, _ = quad(lambda x: 1.0 - norm.cdf(x) ** k, 0.0, 12.0, epsabs=1e-12, limit=200)
     lower, _ = quad(lambda x: norm.cdf(-x) ** k, 0.0, 12.0, epsabs=1e-12, limit=200)
     return upper - lower
+
+
+def scipy_quad_expected_max(k: int) -> float:
+    """``mu_k`` by ``scipy.integrate.quad`` with the arguments, integrand
+    and break point that ``expected_max_iid_gaussian`` passes its
+    quadrature."""
+    log_k = math.log(k)
+
+    def integrand(x: float) -> float:
+        return x * math.exp(
+            log_k - 0.5 * x * x - 0.5 * math.log(2.0 * math.pi) + (k - 1) * log_ndtr(x)
+        )
+
+    peak = min(11.5, math.sqrt(2.0 * log_k))
+    value, abserr = quad(
+        integrand, -12.0, 12.0, epsabs=1e-12, epsrel=1e-12, limit=200, points=[peak]
+    )
+    assert abserr <= bounds.MU_ABS_TOL
+    return value
+
+
+@pytest.fixture
+def empty_mu_cache(monkeypatch):
+    """A fresh ``mu_k`` memo, so that every ``k`` is integrated anew."""
+    monkeypatch.setattr(bounds, "_mu_cache", {1: 0.0})
+
+
+class TestCompiledRoutines:
+    """QUADPACK's qagpe and log_ndtr come from their compiled scipy
+    modules, loaded alone by the loader that also serves the solvers."""
+
+    _PACKAGES = "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.linalg')"
+
+    def test_loads_the_files_without_scipy_packages(self):
+        # A silent fallback would import scipy.integrate and with it
+        # scipy.optimize, about 0.25 s.
+        script = "\n".join([
+            "import sys",
+            "from graf import bounds",
+            f"packages = {self._PACKAGES}",
+            "assert not [m for m in packages if m in sys.modules], 'fell back'",
+            "assert 'scipy.integrate._quadpack' not in sys.modules",
+            "assert 'scipy.special._special_ufuncs' not in sys.modules",
+            "bounds.greedy_lower_bound(20)",
+            "assert not [m for m in packages if m in sys.modules], 'loaded while computing'",
+            "import scipy.special, scipy.integrate._quadpack",
+            "assert bounds.log_ndtr is scipy.special.log_ndtr",
+            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_files_fall_back(self, tmp_path):
+        script = "\n".join([
+            "import sys",
+            "from graf import solvers",
+            f"solvers._extension_path = lambda module: {str(tmp_path / 'missing.so')!r}",
+            "from graf import bounds",
+            "assert 'scipy.special' in sys.modules and 'scipy.integrate' in sys.modules",
+            "import scipy.special, scipy.integrate._quadpack",
+            "assert bounds.log_ndtr is scipy.special.log_ndtr",
+            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
+            "print(bounds.expected_max_iid_gaussian(9).hex())",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+        assert float.fromhex(result.stdout.strip()) == expected_max_iid_gaussian(9)
+
+    def test_takes_the_loaded_packages(self):
+        script = "\n".join([
+            "import scipy.integrate, scipy.special",
+            "from graf import solvers",
+            "def not_called(name, path):",
+            "    raise AssertionError(f'loaded {name} from its file, not its package')",
+            "solvers._load_extension = not_called",
+            "from graf import bounds",
+            "assert bounds.log_ndtr is scipy.special.log_ndtr",
+            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+
+class TestQuadrature:
+    """``bounds.quad`` is ``scipy.integrate.quad``'s own call to QUADPACK."""
+
+    @pytest.mark.parametrize(
+        "ks",
+        [range(2, 301), [*range(301, 4096, 199), 4096]],
+        ids=["2-300", "301-4096"],
+    )
+    def test_matches_scipy_quad_bit_for_bit(self, empty_mu_cache, ks):
+        for k in ks:
+            assert expected_max_iid_gaussian(k) == scipy_quad_expected_max(k), k
+
+    def test_nonzero_ier_raises(self, monkeypatch, empty_mu_cache):
+        def round_off(*args):
+            return 1.0, 0.0, 2
+
+        monkeypatch.setattr(bounds, "quad", functools.partial(bounds.quad.func, round_off))
+        with pytest.raises(ArithmeticError, match="ier=2"):
+            expected_max_iid_gaussian(5)
+        assert 5 not in bounds._mu_cache
+
+    def test_one_quadrature_per_uncached_k(self, monkeypatch, empty_mu_cache):
+        calls = []
+        compiled = bounds.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compiled(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "quad", counting)
+        greedy_lower_bound(50)
+        assert len(calls) == 49
+        greedy_lower_bound(60)
+        expected_max_iid_gaussian(30)
+        assert len(calls) == 59
+
+    def test_matches_scipy_quad_on_other_points(self):
+        # The break points scipy.integrate.quad keeps: unique, strictly
+        # inside (a, b).
+        for points in ([0.5], [0.5, 0.5, -1.0], [-2.0, 0.0, 2.0], [1.0, 3.0]):
+            expected = quad(
+                math.cos, -2.0, 2.0, epsabs=1e-12, epsrel=1e-12, limit=50, points=points
+            )
+            assert bounds.quad(
+                math.cos, -2.0, 2.0, epsabs=1e-12, epsrel=1e-12, limit=50, points=points
+            ) == expected
 
 
 class TestExpectedMax:

@@ -600,30 +600,37 @@ class TestEnumerateCommand:
 # a fresh interpreter holds after the lines before.
 _LOADED_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
+# Records, in a fresh interpreter, the compiled scipy routines that the
+# shared loader returns from here on.
+_RECORD_ROUTINES = "\n".join([
+    "from graf import solvers",
+    "routines, load = [], solvers._scipy_compiled",
+    "solvers._scipy_compiled = lambda module, attr: routines.append(attr) or load(module, attr)",
+])
+
 # Prints, as the last stdout line, the JSON list of the set-up modules
-# that a fresh interpreter holds after the lines before, with "lsa" when
-# the linear-sum-assignment loader has run.
+# that a fresh interpreter holds after the lines before, with the
+# routines recorded by _RECORD_ROUTINES.
 _LOADED_SETUP = "\n".join([
-    "from graf.solvers import _linear_sum_assignment",
     "names = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'multiprocessing')",
-    "loaded = [m for m in names if m in sys.modules]",
-    "loaded += ['lsa'] if _linear_sum_assignment.cache_info().currsize else []",
+    "loaded = [m for m in names if m in sys.modules] + routines",
     "print(json.dumps(sorted(loaded)))",
 ])
 
-# What parse_args loads for each command: graf.bounds brings
-# scipy.integrate, which brings scipy.optimize; the commands that may
+# What parse_args loads for each command: graf.bounds brings QUADPACK's
+# _qagpe and log_ndtr, each from its compiled module alone, and the
+# compiled linear_sum_assignment comes alone too; the commands that may
 # start a worker pool bring multiprocessing.
 _SETUP_LOADS = {
     "enumerate": [],
-    "solve": ["lsa"],
-    "estimate": ["lsa", "multiprocessing", "scipy.special"],
-    "nearmax": ["lsa", "multiprocessing", "scipy.special"],
-    "verify": ["lsa", "scipy.special"],
+    "solve": ["linear_sum_assignment"],
+    "estimate": ["linear_sum_assignment", "multiprocessing", "scipy.special"],
+    "nearmax": ["linear_sum_assignment", "multiprocessing", "scipy.special"],
+    "verify": ["linear_sum_assignment", "scipy.special"],
     "ratio-table": [
-        "lsa", "multiprocessing", "scipy.integrate", "scipy.optimize", "scipy.special"
+        "_qagpe", "linear_sum_assignment", "log_ndtr", "multiprocessing", "scipy.special"
     ],
-    "bounds": ["scipy.integrate", "scipy.optimize", "scipy.special"],
+    "bounds": ["_qagpe", "log_ndtr"],
 }
 
 
@@ -631,6 +638,7 @@ def _setup_loads(*args: str) -> list[str]:
     """What a fresh interpreter's parse_args(args) loads (see _LOADED_SETUP)."""
     script = "\n".join([
         "import json, sys",
+        _RECORD_ROUTINES,
         "from graf.cli import parse_args",
         "parse_args(sys.argv[1:])",
         _LOADED_SETUP,
@@ -682,7 +690,7 @@ class TestScipyLoading:
     def test_estimate_csv_loads_the_bounds(self):
         # The CSV row holds the bound columns, which graf.bounds computes.
         loaded = _setup_loads(*_required_flags("estimate"), "--format", "csv")
-        assert loaded == sorted(_SETUP_LOADS["estimate"] + ["scipy.integrate", "scipy.optimize"])
+        assert loaded == sorted(_SETUP_LOADS["estimate"] + _SETUP_LOADS["bounds"])
 
     @pytest.mark.parametrize(
         "flags",

@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 import graf
 from graf.field import CostMatrix
 from graf.solvers import (
+    _extension_path,
     _linear_sum_assignment,
-    _load_lsap,
-    _lsap_path,
+    _load_extension,
     greedy_assignment,
     greedy_columns,
     solve_max_bruteforce,
@@ -139,7 +139,9 @@ def small_integer_matrices():
 
 
 class TestLsaLoader:
-    """The solver comes from scipy's compiled module, loaded alone."""
+    """The solver comes from scipy's compiled module, loaded alone by the
+    loader that also serves graf.bounds (tests/test_bounds.py,
+    TestCompiledRoutines)."""
 
     def test_loads_the_file_without_scipy_optimize(self):
         # A silent fallback would import scipy.optimize, about 0.25 s.
@@ -160,7 +162,7 @@ class TestLsaLoader:
         script = "\n".join([
             "import sys",
             "from graf import solvers",
-            f"solvers._lsap_path = lambda: {str(tmp_path / '_lsap.so')!r}",
+            f"solvers._extension_path = lambda module: {str(tmp_path / '_lsap.so')!r}",
             "lsa = solvers._linear_sum_assignment()",
             "assert 'scipy.optimize' in sys.modules",
             "import scipy.optimize",
@@ -173,9 +175,9 @@ class TestLsaLoader:
         script = "\n".join([
             "import scipy.optimize",
             "from graf import solvers",
-            "def not_called(path):",
+            "def not_called(name, path):",
             "    raise AssertionError('loaded the file although scipy.optimize was loaded')",
-            "solvers._load_lsap = not_called",
+            "solvers._load_extension = not_called",
             "assert solvers._linear_sum_assignment() is scipy.optimize.linear_sum_assignment",
         ])
         result = run_fresh(script)
@@ -186,7 +188,8 @@ class TestLsaLoader:
     def test_file_matches_scipy_optimize(self, entries, maximize):
         import scipy.optimize
 
-        rows, columns = _load_lsap(_lsap_path())(entries, maximize=maximize)
+        lsap = _load_extension("scipy.optimize._lsap", _extension_path("optimize._lsap"))
+        rows, columns = lsap.linear_sum_assignment(entries, maximize=maximize)
         expected = scipy.optimize.linear_sum_assignment(entries, maximize=maximize)
         assert np.array_equal(rows, expected[0])
         assert np.array_equal(columns, expected[1])
