@@ -10,6 +10,7 @@ to stdout after file output; ``GRAF_LOG`` selects the log level.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import logging
 import math
@@ -63,6 +64,8 @@ _LOG_LEVELS = {
 
 _USAGE_EXIT = 2
 _FAILURE_EXIT = 1
+
+logger = logging.getLogger(__name__)
 
 
 def _checked(kind: type, ok, rule: str):
@@ -589,14 +592,49 @@ def _configure_logging() -> None:
     )
 
 
+#: glibc's mallopt parameters and the values :func:`_settle_process` gives
+#: them: the ceilings its adaptive rule reaches, so scratch arrays of up
+#: to 32 MiB stay in the heap once freed and are reused, not faulted in
+#: again.  Setting either one switches that rule off, so both are set.
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _settle_process() -> None:
+    """Fix glibc's malloc thresholds, where the C library is glibc, and
+    freeze every object built so far out of the garbage collector's
+    reach.  A worker pool forked later inherits both, and exit skips the
+    collection of what numpy and scipy built at set-up.  Neither changes
+    what a command computes."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    if libc.startswith("glibc"):
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        for param, value in _MALLOPT_SETTINGS:
+            # mallopt returns 1 on success and 0 on error.
+            if mallopt(param, value) != 1:
+                logger.debug("mallopt(%d, %d) failed", param, value)
+    gc.freeze()
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.
+
+    Once the arguments parse, it fixes glibc's malloc thresholds and
+    freezes the objects built so far (:func:`gc.freeze`) in the calling
+    process, which keeps both after it returns."""
     if argv is None:
         argv = sys.argv[1:]
     started = time.monotonic()
     try:
         _configure_logging()
         config = parse_args(list(argv))
+        _settle_process()
         config.out = _check_out_dir(config.out)
         status = run(config)
     except UsageError as exc:

@@ -56,10 +56,20 @@ def _load_extension(name: str, path: str):
     """The extension module ``name`` of the file at ``path``, loaded
     without its package and left out of ``sys.modules``, so that a later
     import of the package loads it as usual.  Raises ImportError when the
-    file is missing or does not load."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    file is missing or does not load.  A load that fails leaves
+    ``sys.modules[name]`` as it found it, not holding the half-built
+    module, which a later import would return."""
+    before = sys.modules.get(name)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except BaseException:
+        if before is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = before
+        raise
     # A single-phase extension enters sys.modules as it is created.
     if sys.modules.get(name) is module:
         del sys.modules[name]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -17,6 +18,14 @@ from graf._permutations import BLOCK_ROWS, perm_table
 from graf.field import CostMatrix
 from graf.montecarlo import StatSummary, derive_seed, replicate_block
 from graf.serialize import fmt
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze():
+    """graf.cli.main freezes every object its process holds; unfreeze them
+    after each test, so the suite's own garbage stays collectable."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

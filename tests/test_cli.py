@@ -731,6 +731,72 @@ class TestScipyLoading:
         assert json.loads(result.stdout.splitlines()[-1]) is True
 
 
+def _is_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestProcessSetup:
+    """Once its arguments parse, main fixes glibc's malloc thresholds and
+    freezes the objects built so far, in a fresh interpreter each time."""
+
+    def test_freezes_the_setup_objects(self):
+        script = "\n".join([
+            "import gc",
+            "from graf.cli import main",
+            "assert gc.get_freeze_count() == 0",
+            "assert main(['bounds', '--n-list', '3']) == 0",
+            "assert gc.get_freeze_count() > 0, gc.get_freeze_count()",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not _is_glibc(), reason="malloc thresholds are set on glibc only")
+    def test_freed_arrays_are_reused_without_faults(self):
+        # Two 4 MiB arrays a round: above glibc's default mmap threshold,
+        # so without the step each round maps and faults them in anew.
+        script = "\n".join([
+            "import json, resource",
+            "import numpy as np",
+            "from graf.cli import main",
+            "assert main(['bounds', '--n-list', '3']) == 0",
+            "faults = []",
+            "for _ in range(6):",
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "    a, b = np.ones(1 << 19), np.ones(1 << 19)",
+            "    del a, b",
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+            "print(json.dumps(faults))",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+        faults = json.loads(result.stdout.splitlines()[-1])
+        assert faults[1:] == [0] * 5, faults
+
+    @pytest.mark.parametrize("error", [OSError, ValueError])
+    def test_runs_when_the_libc_is_unknown(self, error):
+        script = "\n".join([
+            "import ctypes, os, sys",
+            "from graf.cli import main",
+            "def confstr(name):",
+            f"    raise {error.__name__}(name)",
+            "def not_called(*args, **kwargs):",
+            "    raise AssertionError('called ctypes.CDLL')",
+            "os.confstr = confstr",
+            "ctypes.CDLL = not_called",
+            "sys.exit(main(['bounds', '--n-list', '1,3,100']))",
+        ])
+        patched = run_fresh(script)
+        assert patched.returncode == 0, patched.stderr
+        plain = run_fresh(
+            "import sys\nfrom graf.cli import main\nsys.exit(main(['bounds', '--n-list', '1,3,100']))"
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert patched.stdout == plain.stdout
+
+
 def _enumerate_oracle(matrix, field=enumerate_field) -> bytes:
     """The enumerate document built one cell at a time by to_csv_text,
     from the assignments and values ``field(matrix)`` returns."""

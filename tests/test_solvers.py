@@ -171,6 +171,18 @@ class TestLsaLoader:
         result = run_fresh(script)
         assert result.returncode == 0, result.stderr
 
+    def test_failed_load_leaves_no_module(self):
+        # scipy.special._ufuncs imports names from its own package, so its
+        # file alone fails to load part way.
+        script = "\n".join([
+            "from graf import solvers",
+            "ndtri = solvers._scipy_compiled('special._ufuncs', 'ndtri')",
+            "import scipy.special",
+            "assert ndtri is scipy.special.ndtri",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
     def test_takes_the_loaded_package(self):
         script = "\n".join([
             "import scipy.optimize",
