@@ -49,6 +49,7 @@ from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ra
 from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import (
     _linear_sum_assignment,
+    _ndtri,
     greedy_assignment,
     solve_max_bruteforce,
     solve_max_exact,
@@ -254,15 +255,22 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
-def _module(name: str):
-    """A set-up step that imports the module ``name``."""
-    return lambda: importlib.import_module(name)
+def _modules(*names: str):
+    """A set-up step that imports the modules ``names``."""
+    return lambda: [importlib.import_module(name) for name in names]
 
 
-_SPECIAL = _module("scipy.special")
-# graf.bounds loads QUADPACK's qagpe and log_ndtr, no scipy package.
-_BOUNDS = _module("graf.bounds")
-_POOL = _module("concurrent.futures.process")
+# graf.bounds loads QUADPACK's qagpe and log_ndtr, no scipy package; the
+# np.unique of its quadrature imports numpy.ma on first use.
+_BOUNDS = _modules("graf.bounds", "numpy.ma")
+_POOL = _modules("concurrent.futures.process")
+
+
+def _sampler() -> None:
+    """Load what the sampler calls: scipy's compiled ``ndtri``, and
+    ``numpy.random``, which numpy imports at the first ``np.random``."""
+    _ndtri()
+    importlib.import_module("numpy.random")
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -543,11 +551,11 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 _COMMANDS = {
     "solve": (_cmd_solve, (_linear_sum_assignment,)),
     "bounds": (_cmd_bounds, (_BOUNDS,)),
-    "estimate": (_cmd_estimate, (_SPECIAL, _linear_sum_assignment, _POOL)),
-    "ratio-table": (_cmd_ratio_table, (_SPECIAL, _BOUNDS, _linear_sum_assignment, _POOL)),
-    "nearmax": (_cmd_nearmax, (_SPECIAL, _linear_sum_assignment, _POOL)),
+    "estimate": (_cmd_estimate, (_sampler, _linear_sum_assignment, _POOL)),
+    "ratio-table": (_cmd_ratio_table, (_sampler, _BOUNDS, _linear_sum_assignment, _POOL)),
+    "nearmax": (_cmd_nearmax, (_sampler, _linear_sum_assignment, _POOL)),
     "enumerate": (_cmd_enumerate, ()),
-    "verify": (_cmd_verify, (_SPECIAL, _linear_sum_assignment)),
+    "verify": (_cmd_verify, (_sampler, _linear_sum_assignment)),
 }
 
 

@@ -227,14 +227,17 @@ def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray
        ``np.random.PCG64(seed)``'s bit for bit,
     2. the first ``n*n`` raw 64-bit outputs are mapped to uniforms through
        their top 53 bits, ``u = ((r >> 11) + 0.5) * 2**-53`` (never 0 or 1),
-    3. each ``u`` goes through the inverse normal CDF (Cephes ``ndtri``),
+    3. each ``u`` goes through the inverse normal CDF (Cephes ``ndtri``,
+       the ufunc ``scipy.special.ndtri`` names, loaded from its compiled
+       file without the ``scipy.special`` package),
     4. values fill the matrix row by row.
 
     Every step is elementwise, so sampling in passes of
     :func:`sample_chunk_size` matrices changes no bit.
     """
-    from scipy.special import ndtri  # scipy loads on first use, not at import
+    from graf.solvers import _ndtri  # graf.solvers imports this module
 
+    ndtri = _ndtri()  # from scipy's compiled file, on first use, not at import
     sample_chunk_size(n)  # rejects a bad size before anything is allocated
     seeds = _seed_array(seeds)
     out = np.empty((len(seeds), n, n))

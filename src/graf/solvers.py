@@ -3,12 +3,12 @@
 ``solve_max_exact`` delegates to scipy's dense shortest-augmenting-path
 solver (Jonker-Volgenant style with dual potentials), which handles
 real-valued costs exactly; the exhaustive solver doubles as its oracle for
-small sizes.  :func:`_scipy_compiled` loads that solver, and the two
-routines of :mod:`graf.bounds`, from their compiled modules alone, without
-their scipy packages.  The greedy construction walks the rows in order
-and takes the best still-unused column, which lower-bounds the maximum.
-``greedy_columns`` implements it on a whole batch of matrices at once;
-``greedy_assignment`` runs it on a batch of one.
+small sizes.  :func:`_scipy_compiled` loads that solver, the sampler's
+``ndtri`` and the two routines of :mod:`graf.bounds` from their compiled
+modules alone, without their scipy packages.  The greedy construction
+walks the rows in order and takes the best still-unused column, which
+lower-bounds the maximum.  ``greedy_columns`` implements it on a whole
+batch of matrices at once; ``greedy_assignment`` runs it on a batch of one.
 """
 
 from __future__ import annotations
@@ -42,59 +42,77 @@ class SolveResult:
     field_value: float
 
 
-def _extension_path(module: str) -> str | None:
-    """Where the extension file of ``scipy.<module>`` would be, or None
-    when scipy is not installed.  Finding scipy imports none of it."""
+def _extension_path(module: str) -> str:
+    """Where the extension file of ``scipy.<module>`` would be.  Finding
+    scipy imports none of it; raises ModuleNotFoundError when scipy is not
+    installed."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
-        return None
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     return os.path.join(spec.submodule_search_locations[0], *module.split(".")) + suffix
 
 
 def _load_extension(name: str, path: str):
     """The extension module ``name`` of the file at ``path``, loaded
-    without its package and left out of ``sys.modules``, so that a later
-    import of the package loads it as usual.  Raises ImportError when the
-    file is missing or does not load.  A load that fails leaves
-    ``sys.modules[name]`` as it found it, not holding the half-built
-    module, which a later import would return."""
-    before = sys.modules.get(name)
+    without its package.  It stays in ``sys.modules``, so that a later
+    import of the package reuses it.  Raises ImportError when the file is
+    missing or does not load; a load that fails takes ``name`` out of
+    ``sys.modules`` again, so that no later import returns the half-built
+    module."""
+    spec = importlib.util.spec_from_file_location(name, path)
     try:
-        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
         spec.loader.exec_module(module)
     except BaseException:
-        if before is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = before
+        sys.modules.pop(name, None)
         raise
-    # A single-phase extension enters sys.modules as it is created.
-    if sys.modules.get(name) is module:
-        del sys.modules[name]
     return module
+
+
+#: The compiled modules that ``scipy.special._ufuncs`` imports as it
+#: loads.  Loaded first, they spare it the import of ``scipy.special``.
+_LOADED_FIRST = {
+    "special._ufuncs": (
+        "special._ufuncs_cxx", "special._ellip_harm_2", "special._special_ufuncs",
+        "special._gufuncs",
+    ),
+}
 
 
 @functools.cache
 def _scipy_compiled(module: str, attr: str):
     """``attr`` of scipy's compiled module ``scipy.<module>``, from its
-    file alone (about 1 ms, where the package takes 0.05-0.3 s), or from
-    the package when that is loaded or the file does not load: the same
-    object either way, so no result can differ."""
+    file alone after those of :data:`_LOADED_FIRST` (1-30 ms, where the
+    package takes 0.05-0.35 s), or from the package when that is loaded
+    or a file does not load: the same object either way, so no result can
+    differ.  A module already in ``sys.modules`` is taken as it is, and a
+    load that fails part way takes out every module it put there."""
     name = "scipy." + module
-    path = _extension_path(module)
-    if path is not None and name.rpartition(".")[0] not in sys.modules:
+    if name.rpartition(".")[0] not in sys.modules:
+        added = []
         try:
-            return getattr(_load_extension(name, path), attr)
+            for part in (*_LOADED_FIRST.get(module, ()), module):
+                if "scipy." + part not in sys.modules:
+                    _load_extension("scipy." + part, _extension_path(part))
+                    added.append("scipy." + part)
+            return getattr(sys.modules[name], attr)
         except ImportError:
-            pass
+            for key in added:
+                sys.modules.pop(key, None)
     return getattr(importlib.import_module(name), attr)
 
 
 def _linear_sum_assignment():
     """scipy's ``linear_sum_assignment``, a builtin of its compiled module."""
     return _scipy_compiled("optimize._lsap", "linear_sum_assignment")
+
+
+def _ndtri():
+    """scipy's ``ndtri``, Cephes' inverse normal CDF, a ufunc of its
+    compiled module."""
+    return _scipy_compiled("special._ufuncs", "ndtri")
 
 
 def _quad(qagpe, func, a: float, b: float, *, epsabs, epsrel, limit, points):

@@ -66,13 +66,16 @@ class TestCompiledRoutines:
             "from graf import bounds",
             f"packages = {self._PACKAGES}",
             "assert not [m for m in packages if m in sys.modules], 'fell back'",
-            "assert 'scipy.integrate._quadpack' not in sys.modules",
-            "assert 'scipy.special._special_ufuncs' not in sys.modules",
+            "loaded = ('scipy.integrate._quadpack', 'scipy.special._special_ufuncs')",
+            "assert all(m in sys.modules for m in loaded), 'the loaded files stay'",
             "bounds.greedy_lower_bound(20)",
             "assert not [m for m in packages if m in sys.modules], 'loaded while computing'",
-            "import scipy.special, scipy.integrate._quadpack",
+            # A package imported later reuses the loaded files but does not
+            # bind them as its attributes, unless its own code imports them so.
+            "import scipy.special",
+            "from scipy.integrate import _quadpack",
             "assert bounds.log_ndtr is scipy.special.log_ndtr",
-            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
+            "assert bounds.quad.args[0] is _quadpack._qagpe",
         ])
         result = run_fresh(script)
         assert result.returncode == 0, result.stderr

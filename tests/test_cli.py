@@ -612,24 +612,23 @@ _RECORD_ROUTINES = "\n".join([
 # that a fresh interpreter holds after the lines before, with the
 # routines recorded by _RECORD_ROUTINES.
 _LOADED_SETUP = "\n".join([
-    "names = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'multiprocessing')",
+    "names = ('scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special',",
+    "         'multiprocessing')",
     "loaded = [m for m in names if m in sys.modules] + routines",
     "print(json.dumps(sorted(loaded)))",
 ])
 
 # What parse_args loads for each command: graf.bounds brings QUADPACK's
 # _qagpe and log_ndtr, each from its compiled module alone, and the
-# compiled linear_sum_assignment comes alone too; the commands that may
-# start a worker pool bring multiprocessing.
+# compiled linear_sum_assignment and ndtri come alone too; the commands
+# that may start a worker pool bring multiprocessing.
 _SETUP_LOADS = {
     "enumerate": [],
     "solve": ["linear_sum_assignment"],
-    "estimate": ["linear_sum_assignment", "multiprocessing", "scipy.special"],
-    "nearmax": ["linear_sum_assignment", "multiprocessing", "scipy.special"],
-    "verify": ["linear_sum_assignment", "scipy.special"],
-    "ratio-table": [
-        "_qagpe", "linear_sum_assignment", "log_ndtr", "multiprocessing", "scipy.special"
-    ],
+    "estimate": ["linear_sum_assignment", "multiprocessing", "ndtri"],
+    "nearmax": ["linear_sum_assignment", "multiprocessing", "ndtri"],
+    "verify": ["linear_sum_assignment", "ndtri"],
+    "ratio-table": ["_qagpe", "linear_sum_assignment", "log_ndtr", "multiprocessing", "ndtri"],
     "bounds": ["_qagpe", "log_ndtr"],
 }
 
@@ -670,7 +669,8 @@ class TestScipyLoading:
         assert len(read_csv(out)[1]) == 6
 
     def test_parsing_estimate_loads_scipy(self):
-        # The compiled LSA loads without scipy.optimize and its dependencies.
+        # The compiled LSA and ndtri load without scipy.optimize,
+        # scipy.special and their dependencies.
         script = "\n".join([
             "import json, sys",
             "from graf.cli import parse_args",
@@ -680,8 +680,29 @@ class TestScipyLoading:
         result = run_fresh(script, *_required_flags("estimate"))
         assert result.returncode == 0, result.stderr
         loaded = set(json.loads(result.stdout))
-        assert "scipy.special" in loaded
-        assert not {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"} & loaded
+        assert {"scipy.optimize._lsap", "scipy.special._ufuncs"} <= loaded
+        packages = {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+                    "scipy.special"}
+        assert not packages & loaded
+
+    def test_ratio_table_loads_log_ndtr_once(self):
+        # ndtri's load brings _special_ufuncs, and graf.bounds takes
+        # log_ndtr from that module instead of loading its file again.
+        script = "\n".join([
+            "import sys",
+            "from graf import solvers",
+            "paths, load = [], solvers._load_extension",
+            "solvers._load_extension = lambda name, path: paths.append(path) or load(name, path)",
+            "from graf.cli import parse_args",
+            "parse_args(sys.argv[1:])",
+            "loads = [p for p in paths if 'special/_special_ufuncs' in p.replace(chr(92), '/')]",
+            "assert len(loads) <= 1, paths",
+            "assert 'scipy.special' not in sys.modules",
+            "import graf.bounds, scipy.special",
+            "assert graf.bounds.log_ndtr is scipy.special.log_ndtr",
+        ])
+        result = run_fresh(script, *_required_flags("ratio-table"))
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
     def test_every_command_but_enumerate_loads_scipy(self, command):
@@ -729,6 +750,35 @@ class TestScipyLoading:
         result = run_fresh(script, *flags)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) is True
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["estimate", "--n", "4", "--reps", "8", "--seed", "0", "--workers", "1"],
+         ["estimate", "--n", "4", "--reps", "8", "--seed", "0", "--workers", "1",
+          "--format", "csv"],
+         ["ratio-table", "--n-list", "3,4", "--reps", "4", "--seed", "0", "--workers", "1"],
+         ["nearmax", "--n", "3", "--eps", "0.5", "--reps", "4", "--m-reps", "8", "--seed",
+          "0", "--workers", "1"],
+         ["verify", "--n", "3", "--delta", "0.3", "--seed", "0"]],
+        ids=["estimate", "estimate-csv", "ratio-table", "nearmax", "verify"],
+    )
+    def test_sampling_commands_load_nothing_while_computing(self, flags):
+        # numpy imports numpy.random at the first np.random and numpy.ma at
+        # the first np.unique; set-up loads both, so that they count as
+        # set-up and a worker pool forked later inherits them.
+        script = "\n".join([
+            "import json, sys",
+            "from graf import cli",
+            "config = cli.parse_args(sys.argv[1:])",
+            "before = set(sys.modules)",
+            "status = cli.run(config)",
+            "print(json.dumps(sorted(set(sys.modules) - before)))",
+            "sys.exit(status)",
+        ])
+        result = run_fresh(script, *flags)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 def _is_glibc() -> bool:
