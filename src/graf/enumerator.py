@@ -21,7 +21,8 @@ from graf.combinatorics import in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
     _child_seeds,
-    _max_summary,
+    _moments,
+    _row_stream,
     _row_task_count,
     _task_pool,
     derive_seed,
@@ -34,8 +35,10 @@ ENUM_N_MAX = 9
 #: Histogram / ball checks walk the group once per reference; 8! keeps the
 #: whole acceptance grid in seconds.
 HISTOGRAM_N_MAX = 8
-#: Assignments one near-max counting task walks: 11 matrices at n = 9, so
-#: a task's dispatch and sampling are paid once for all of them.
+#: Most assignments one near-max counting task walks, so a task's dispatch
+#: and sampling are paid once for all its matrices.  A size's tasks split
+#: its matrices equally, to within one: 100 matrices make tasks of 50 and
+#: 50 at n = 8 and ten of 10 at n = 9 (at most 11).
 COUNT_TASK_ASSIGNMENTS = 4_000_000
 
 
@@ -85,6 +88,21 @@ def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
     n, master_seed, thresholds, start, stop = task
     seeds = _child_seeds(derive_seed(master_seed, n, 1), start, stop)
     return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
+
+
+def _count_task_count(n: int, replications: int) -> int:
+    """Number of counting tasks of one size: ``replications`` matrices at
+    most ``COUNT_TASK_ASSIGNMENTS // n!`` (and at least 1) per task."""
+    return -(-replications // max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n)))
+
+
+def _count_tasks(n: int, replications: int, master_seed: int, thresholds: np.ndarray):
+    """Counting tasks ``(n, master_seed, thresholds, start, stop)`` of one
+    size, in matrix order, whose sizes differ by at most one matrix."""
+    tasks = _count_task_count(n, replications)
+    bounds = [-(-k * replications // tasks) for k in range(tasks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield n, master_seed, thresholds, start, stop
 
 
 @dataclass(frozen=True)
@@ -168,12 +186,15 @@ def nearmax_table(
     ``(n, 0)``) that solves and accumulates the maximum only; its mean and
     standard error equal :func:`~graf.montecarlo.estimate`'s ``max_value``
     bit for bit.  Then ``replications`` matrices drawn under seed path
-    ``(n, 1, k)`` are enumerated, in tasks of about
-    :data:`COUNT_TASK_ASSIGNMENTS` assignments; every epsilon is counted
-    on the same matrices.  With ``sensitivity`` enabled, extra rows
-    re-count the sets with the plug-in mean shifted by +-2 standard errors.
-    One worker pool runs the m-pass and the counting of every size; the
-    counts are integers, so the table does not depend on ``workers``.
+    ``(n, 1, k)`` are enumerated, in tasks of at most
+    :data:`COUNT_TASK_ASSIGNMENTS` assignments that split a size's
+    matrices equally, to within one; every epsilon is counted on the same
+    matrices.  With ``sensitivity`` enabled, extra rows re-count the sets
+    with the plug-in mean shifted by +-2 standard errors.  One worker pool
+    runs every size's m-pass as one task stream, then every size's
+    counting as another, so it drains twice per call, and it is sized by
+    the longer stream.  The counts are integers, so the table does not
+    depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon
@@ -190,27 +211,34 @@ def nearmax_table(
     if m_reps < 2:
         raise ValueError(f"m_reps must be at least 2, got {m_reps}")
     shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
-    per_task = {n: max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n)) for n in n_list}
-    most_tasks = max(
-        max(_row_task_count(n, m_reps), -(-replications // per_task[n])) for n in n_list
+    # One counting variant per (epsilon, mean shift) pair.
+    variants = [(eps, shift) for eps in eps_list for shift in shifts]
+    m_studies = [(n, m_reps, derive_seed(master_seed, n, 0)) for n in n_list]
+    longest_phase = max(
+        sum(_row_task_count(n, m_reps) for n in n_list),
+        sum(_count_task_count(n, replications) for n in n_list),
     )
     rows: list[DimensionSummary] = []
-    with _task_pool(workers, most_tasks) as run:
-        for n in n_list:
-            m_pass = _max_summary(n, m_reps, derive_seed(master_seed, n, 0), run)
+    with _task_pool(workers, longest_phase) as run:
+        # Each phase is one stream over every size, so the pool drains
+        # once per phase, not once per size.
+        results = _row_stream(run, m_studies, 1)
+        m_passes = [_moments(results, m_reps, 1)[0].summaries()["max_value"] for _ in n_list]
+        eps_v, shift_v = np.array(variants).T
+        thresholds = [
+            (1.0 - eps_v) * (m.mean + shift_v * m.mean_std_error) * math.sqrt(n)
+            for n, m in zip(n_list, m_passes)
+        ]
+        tasks = (
+            task
+            for n, t in zip(n_list, thresholds)
+            for task in _count_tasks(n, replications, master_seed, t)
+        )
+        counts = run(_count_matrices, tasks)
+        for n, m_pass in zip(n_list, m_passes):
             m_hat, m_se = m_pass.mean, m_pass.mean_std_error
-            # One counting variant per (epsilon, mean shift) pair.
-            variants = [(eps, shift) for eps in eps_list for shift in shifts]
-            thresholds = np.array(
-                [(1.0 - eps) * (m_hat + shift * m_se) * math.sqrt(n) for eps, shift in variants]
-            )
-            step = per_task[n]
-            starts = range(0, replications, step)
-            tasks = ((n, master_seed, thresholds, k, min(k + step, replications)) for k in starts)
-            counts = run(_count_matrices, tasks)
-            sizes = np.empty((len(variants), replications), dtype=np.int64)
-            for k, block in zip(starts, counts):
-                sizes[:, k : k + len(block)] = block.T
+            blocks = [next(counts) for _ in range(_count_task_count(n, replications))]
+            sizes = np.concatenate(blocks).T
             # Empty sets contribute zero to the indicator-weighted log size.
             log_sizes = np.array(
                 [[math.log(s) if s else 0.0 for s in row] for row in sizes.tolist()]

@@ -327,17 +327,28 @@ def _task_pool(workers: int, tasks: int):
         yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)
 
 
-def _moments(
-    n: int, replications: int, master_seed: int, run, columns: int
-) -> tuple[_RowMoments, int]:
-    """Moments of the first ``columns`` columns of ``replications`` rows,
-    with row tasks mapped by ``run`` (see :func:`_task_pool`), and the
-    greedy violations among them (0 unless the greedy column is held).
+def _row_stream(run, studies, columns: int = len(STAT_KEYS)) -> Iterator[np.ndarray]:
+    """One in-order result stream of the row tasks of every
+    ``(n, replications, master_seed)`` study in turn, mapped by ``run``
+    (see :func:`_task_pool`), so the pool works on the next study while
+    the parent consumes this one's rows."""
+    tasks = (
+        task for n, reps, seed in studies for task in _row_tasks(n, seed, reps, columns)
+    )
+    return run(_replicate_rows, tasks)
 
-    The parent pushes the rows in replication order into fixed blocks of
-    :data:`BLOCK_REPLICATIONS` merged in block order.
+
+def _moments(
+    results: Iterator[np.ndarray], replications: int, columns: int
+) -> tuple[_RowMoments, int]:
+    """Moments of the first ``columns`` columns of the next ``replications``
+    rows of a :func:`_row_stream`, and the greedy violations among them (0
+    unless the greedy column is held).
+
+    It takes exactly one study's row tasks from the stream, since they
+    never cross a block, and pushes the rows in replication order into
+    fixed blocks of :data:`BLOCK_REPLICATIONS` merged in block order.
     """
-    results = run(_replicate_rows, _row_tasks(n, master_seed, replications, columns))
     moments = _RowMoments.of(columns)
     greedy_violations = 0
     for block in range(0, replications, BLOCK_REPLICATIONS):
@@ -352,17 +363,10 @@ def _moments(
     return moments, greedy_violations
 
 
-def _max_summary(n: int, replications: int, master_seed: int, run) -> StatSummary:
-    """``max_value`` of :func:`_estimate`, bit for bit, from the max column
-    alone: no min LSA, no greedy and no other moments."""
-    logger.info("max pass: n=%d replications=%d", n, replications)
-    return _moments(n, replications, master_seed, run, 1)[0].summaries()["max_value"]
-
-
-def _estimate(n: int, replications: int, master_seed: int, run) -> EstimateReport:
-    """:func:`estimate`, with row tasks mapped by ``run`` (see :func:`_task_pool`)."""
+def _estimate(n: int, replications: int, master_seed: int, results) -> EstimateReport:
+    """:func:`estimate`, from the next rows of a :func:`_row_stream`."""
     logger.info("estimate: n=%d replications=%d", n, replications)
-    moments, greedy_violations = _moments(n, replications, master_seed, run, len(STAT_KEYS))
+    moments, greedy_violations = _moments(results, replications, len(STAT_KEYS))
     summaries = moments.summaries()
     scale = math.sqrt(2.0 * log_factorial(n))
     max_summary = summaries["max_value"]
@@ -392,8 +396,9 @@ def estimate(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    study = (n, replications, master_seed)
     with _task_pool(workers, _row_task_count(n, replications)) as run:
-        return _estimate(n, replications, master_seed, run)
+        return _estimate(*study, _row_stream(run, [study]))
 
 
 def ratio_table(
@@ -404,14 +409,14 @@ def ratio_table(
 
     The estimate for size ``n`` runs under ``derive_seed(master_seed, n)``,
     so rows are independent of each other and of the list order.  One
-    worker pool serves every size.
+    worker pool runs every size's row tasks as one stream.
     """
     if any(n < 2 for n in n_list):
         raise ValueError("ratio table sizes must be at least 2")
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    tasks = max((_row_task_count(n, replications) for n in n_list), default=1)
+    studies = [(n, replications, derive_seed(master_seed, n)) for n in n_list]
+    tasks = sum(_row_task_count(n, replications) for n in n_list)
     with _task_pool(workers, tasks) as run:
-        return [
-            _estimate(n, replications, derive_seed(master_seed, n), run) for n in n_list
-        ]
+        results = _row_stream(run, studies)
+        return [_estimate(*study, results) for study in studies]

@@ -24,6 +24,7 @@ from graf.enumerator import (
     nearmax_table,
 )
 from graf.field import CostMatrix, field_value, sample_cost_matrix
+from graf.montecarlo import derive_seed, estimate
 from graf.solvers import solve_max_bruteforce, solve_max_exact
 
 from conftest import (
@@ -278,6 +279,25 @@ class TestMeanCorrelationExhaustive:
         assert mean_correlation_exhaustive(7) == Fraction(1, 7)
 
 
+class TestCountTasks:
+    @pytest.mark.parametrize("reps", [2, 23, 99, 100, 1000])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equal_to_within_one_matrix(self, n, reps):
+        tasks = list(enumerator._count_tasks(n, reps, 7, None))
+        per_task = enumerator.COUNT_TASK_ASSIGNMENTS // math.factorial(n)
+        assert len(tasks) == -(-reps // per_task)
+        starts, stops = [t[3] for t in tasks], [t[4] for t in tasks]
+        assert starts == [0, *stops[:-1]] and stops[-1] == reps
+        lengths = [stop - start for start, stop in zip(starts, stops)]
+        assert max(lengths) - min(lengths) <= 1
+
+    def test_benchmark_shape(self):
+        # 100 matrices: at most 99 per task at n = 8, at most 11 at n = 9.
+        for n, expected in [(8, [50, 50]), (9, [10] * 10)]:
+            tasks = enumerator._count_tasks(n, 100, 0, None)
+            assert [stop - start for *_, start, stop in tasks] == expected
+
+
 class TestDimensionStudy:
     def test_shapes_and_determinism(self):
         rows = nearmax_table([3, 4], [0.2], replications=60, master_seed=5, m_reps=400)
@@ -320,12 +340,25 @@ class TestDimensionStudy:
         assert nearmax_table(*args, m_reps=300, workers=2) == serial
 
     def test_worker_invariance_at_nine(self, monkeypatch):
-        # 23 matrices make counting tasks of 11, 11 and 1.
+        # 23 matrices make counting tasks of 8, 8 and 7.
         assume_cores(monkeypatch, 2)
-        assert 23 % (enumerator.COUNT_TASK_ASSIGNMENTS // math.factorial(9)) != 0
+        tasks = enumerator._count_tasks(9, 23, 41, None)
+        assert [stop - start for *_, start, stop in tasks] == [8, 8, 7]
         args = ([9], [0.1, 0.3], 23, 41)
         serial = nearmax_table(*args, m_reps=300, sensitivity=True, workers=1)
         assert nearmax_table(*args, m_reps=300, sensitivity=True, workers=2) == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_size_takes_its_own_m_pass(self, workers, monkeypatch):
+        # Every size reads its m-pass rows from one shared stream.  2000
+        # replications are 1, 3 and 2 row tasks at n = 3, 9 and 6.
+        assume_cores(monkeypatch, 2)
+        sizes, m_reps, seed = [3, 9, 6], 2000, 29
+        assert [montecarlo._row_task_count(n, m_reps) for n in sizes] == [1, 3, 2]
+        rows = nearmax_table(sizes, [0.2], 12, seed, m_reps=m_reps, workers=workers)
+        for row, n in zip(rows, sizes):
+            expected = estimate(n, m_reps, derive_seed(seed, n, 0)).max_value
+            assert (row.m_used, row.m_std_error) == (expected.mean, expected.mean_std_error)
 
     def test_one_pool_per_call(self, fake_pool, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 100)

@@ -515,6 +515,17 @@ class TestRatioTable:
         assert fake_pool.sizes == [2]
         assert rows == ratio_table([3, 5], 400, 21, workers=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_size_takes_its_own_rows(self, workers, monkeypatch):
+        # Every size reads its rows from one shared stream.  600
+        # replications are 1, 15 and 2 row tasks at n = 5, 40 and 12, so a
+        # size that took another size's rows would change its row.
+        assume_cores(monkeypatch, 2)
+        sizes, reps, seed = [5, 40, 12], 600, 13
+        assert [montecarlo._row_task_count(n, reps) for n in sizes] == [1, 15, 2]
+        rows = ratio_table(sizes, reps, seed, workers=workers)
+        assert rows == [estimate(n, reps, derive_seed(seed, n)) for n in sizes]
+
     def test_shapes_and_determinism(self):
         rows = ratio_table([3, 5], 400, 21)
         assert [r.n for r in rows] == [3, 5]
@@ -572,9 +583,12 @@ class TestMaxSummary:
         # 4097 and 8197 leave a one- and a five-row last block.
         assume_cores(monkeypatch, 2)
         n, seed = 8, derive_seed(23, 8, 0)
+        study = (n, reps, seed)
         with montecarlo._task_pool(workers, montecarlo._row_task_count(n, reps)) as run:
-            summary = montecarlo._max_summary(n, reps, seed, run)
-            expected = montecarlo._estimate(n, reps, seed, run).max_value
+            results = montecarlo._row_stream(run, [study], 1)
+            summary = montecarlo._moments(results, reps, 1)[0].summaries()["max_value"]
+            expected = montecarlo._estimate(*study, montecarlo._row_stream(run, [study]))
+            expected = expected.max_value
         assert summary.mean == expected.mean
         assert summary.mean_std_error == expected.mean_std_error
         assert summary == expected

@@ -27,7 +27,7 @@ def assert_blocks_match_oracle(entries: np.ndarray) -> None:
     for start, rows, sums in raw_sum_blocks(entries):
         oracle_start, oracle_rows, oracle_sums = next(gathered)
         assert start == oracle_start == covered
-        # n = 9's second block is the short one, 162,880 rows.
+        # n = 9's sixth block is the short one, 35,200 rows.
         assert len(rows) == len(sums) == min(BLOCK_ROWS, math.factorial(n) - start)
         assert np.array_equal(rows, oracle_rows)
         assert sums.dtype == oracle_sums.dtype == np.float64
@@ -83,7 +83,7 @@ class TestSumWorkspace:
         # walk over another matrix yields what a fresh walk stepped alone
         # yields: no block leaks into the other walk or into its own next
         # block.  n <= 4 has no tail and allocates no buffer; n = 9's
-        # second block is the short one, 162,880 rows.
+        # sixth block is the short one, 35,200 rows.
         entries = adversarial_entries(kind, n)
         fresh = raw_sum_blocks(entries)
         other = raw_sum_blocks(entries[::-1] + 1.0)
