@@ -9,6 +9,14 @@ Monte Carlo studies of their moments, enumerates near-maximal assignment
 sets for small ``n``, and evaluates the matching closed-form bounds.
 """
 
+import os as _os
+
+# OpenBLAS reads this when numpy (and later scipy's compiled files) load
+# it.  graf calls no BLAS routine, and an idle pool thread otherwise spins
+# for about 0.1 s of CPU before it sleeps; at 4 it sleeps at once.  BLAS
+# stays multi-threaded, and a value the caller set wins.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from types import ModuleType as _ModuleType
 
 from graf.combinatorics import (

@@ -40,6 +40,17 @@ HISTOGRAM_N_MAX = 8
 #: its matrices equally, to within one: 100 matrices make tasks of 50 and
 #: 50 at n = 8 and ten of 10 at n = 9 (at most 11).
 COUNT_TASK_ASSIGNMENTS = 4_000_000
+#: Enumerated sums per float partial of :func:`enumerated_field_mean`,
+#: fixed here so its last bit does not move with the walk's block size.
+MEAN_PARTIAL_ROWS = 1 << 16
+
+
+def _raw_sums(entries: np.ndarray) -> np.ndarray:
+    """Every assignment's un-normalized cost, in lexicographic order."""
+    sums = np.empty(math.factorial(entries.shape[0]))
+    for start, _, block in raw_sum_blocks(entries):
+        sums[start : start + len(block)] = block
+    return sums
 
 
 def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -50,9 +61,7 @@ def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if c.n > ENUM_N_MAX:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
-    values = np.empty(math.factorial(c.n))
-    for start, _, sums in raw_sum_blocks(c.entries):
-        values[start : start + len(sums)] = sums
+    values = _raw_sums(c.entries)
     values /= math.sqrt(c.n)
     return perm_table(c.n), values
 
@@ -61,21 +70,31 @@ def enumerated_field_mean(c: CostMatrix) -> float:
     """Average field value over all assignments, by enumeration.
 
     Equals ``sum_ij c(i, j) / (n * sqrt(n))`` up to roundoff; this is the
-    enumeration side of that identity.
+    enumeration side of that identity.  It fsums one float partial per
+    :data:`MEAN_PARTIAL_ROWS` sums.
     """
     if c.n > ENUM_N_MAX:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
-    total = math.fsum(float(sums.sum()) for _, _, sums in raw_sum_blocks(c.entries))
+    sums = _raw_sums(c.entries)
+    total = math.fsum(
+        float(sums[k : k + MEAN_PARTIAL_ROWS].sum()) for k in range(0, len(sums), MEAN_PARTIAL_ROWS)
+    )
     return total / (math.factorial(c.n) * math.sqrt(c.n))
 
 
 def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Count, per threshold, the assignments whose raw sum is strictly above
-    it, one block at a time."""
-    sizes = np.zeros(len(thresholds), dtype=np.int64)
-    for _, _, sums in raw_sum_blocks(entries):
-        sizes += [np.count_nonzero(sums > t) for t in thresholds]
-    return sizes
+    it.
+
+    Each block of the walk is compared once, with the lowest threshold,
+    and only the sums above it are kept: a near-max set holds a few dozen
+    of the ``n!`` assignments.  Every threshold is then counted on those
+    sums, so the counts are those of one comparison per block and
+    threshold.
+    """
+    lowest = thresholds.min()
+    kept = np.concatenate([sums[sums > lowest] for _, _, sums in raw_sum_blocks(entries)])
+    return np.array([np.count_nonzero(kept > t) for t in thresholds], dtype=np.int64)
 
 
 def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:

@@ -173,8 +173,8 @@ _SEED_BATCH_MIN = 12
 def _raw_passes(n: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
     """The first ``n*n`` raw outputs of ``np.random.PCG64(seed)`` for each
     ``uint64`` seed, as one ``(matrices, n*n)`` array per sampling pass of
-    :func:`sample_chunk_size` seeds.  Each pass reuses the previous pass's
-    buffer.
+    :func:`sample_chunk_size` seeds.  Each pass refills the previous pass's
+    buffer, so a caller may change a pass in place.
 
     A pass of at least ``_SEED_BATCH_MIN`` seeds takes its PCG64 states
     from :func:`_seed_sequence_words`; one generator, reused for the pass,
@@ -243,8 +243,13 @@ def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray
     out = np.empty((len(seeds), n, n))
     start = 0
     for raw in _raw_passes(n, seeds):
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        ndtri(u, out=out[start : start + len(raw)].reshape(len(raw), n * n))
+        # Step 2 in place, in the pass's own rows of out: no temporaries.
+        u = out[start : start + len(raw)].reshape(len(raw), n * n)
+        raw >>= np.uint64(11)
+        np.copyto(u, raw)
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=u)
         start += len(raw)
     return out
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -788,9 +789,58 @@ def _is_glibc() -> bool:
         return False
 
 
+#: A fresh interpreter's first lines: this test process imported graf,
+#: so its children inherit graf's OpenBLAS default unless they drop it.
+_UNSET_BLAS_TIMEOUT = "import os\nos.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)\n"
+
+
 class TestProcessSetup:
     """Once its arguments parse, main fixes glibc's malloc thresholds and
-    freezes the objects built so far, in a fresh interpreter each time."""
+    freezes the objects built so far, in a fresh interpreter each time.
+    Importing graf sends OpenBLAS's idle pool threads to sleep."""
+
+    def test_import_sets_the_openblas_thread_timeout(self):
+        script = _UNSET_BLAS_TIMEOUT + "\n".join([
+            "import graf",
+            "assert os.environ['OPENBLAS_THREAD_TIMEOUT'] == '4', os.environ",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_a_preset_thread_timeout_wins(self):
+        script = "\n".join([
+            "import os",
+            "os.environ['OPENBLAS_THREAD_TIMEOUT'] = '10'",
+            "import graf",
+            "assert os.environ['OPENBLAS_THREAD_TIMEOUT'] == '10', os.environ",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="thread CPU times are read from /proc"
+    )
+    def test_idle_blas_threads_sleep(self):
+        # Parsing estimate loads ndtri, whose scipy file links a second
+        # OpenBLAS next to numpy's.  Neither pool is ever called; spinning
+        # for OpenBLAS's default timeout, they took about 0.25 s of CPU.
+        script = _UNSET_BLAS_TIMEOUT + "\n".join([
+            "import time",
+            "from graf.cli import parse_args",
+            "parse_args(['estimate', '--n', '10', '--reps', '64', '--seed', '0'])",
+            "time.sleep(0.3)",
+            "ticks = 0",
+            "for tid in os.listdir('/proc/self/task'):",
+            "    if int(tid) != os.getpid():",
+            "        with open(f'/proc/self/task/{tid}/stat') as fh:",
+            "            fields = fh.read().rsplit(')', 1)[1].split()",
+            "        ticks += int(fields[11]) + int(fields[12])  # utime, stime",
+            "print(ticks / os.sysconf('SC_CLK_TCK'))",
+        ])
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+        seconds = float(result.stdout.splitlines()[-1])
+        assert seconds < 0.03, f"other threads took {seconds} s of CPU"
 
     def test_freezes_the_setup_objects(self):
         script = "\n".join([

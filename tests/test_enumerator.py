@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graf
-from graf import enumerator, montecarlo
+from graf import _permutations, enumerator, montecarlo
 from graf._permutations import perm_table
 from graf.bounds import nearmax_regime_threshold, nearmax_theorem_bound
 from graf.combinatorics import ball_size, rencontres_count
@@ -88,6 +88,17 @@ class TestEnumeratedFieldMean:
         c = sample_cost_matrix(6, seed)
         closed = float(c.entries.sum()) / (6 * math.sqrt(6))
         assert enumerated_field_mean(c) == pytest.approx(closed, abs=1e-10)
+
+    @pytest.mark.parametrize("block_rows", [1 << 15, 35_200])
+    def test_does_not_move_with_block_rows(self, monkeypatch, block_rows):
+        # The partials are MEAN_PARTIAL_ROWS sums each, whatever blocks the
+        # walk yields.  With one partial per block, seed 3's mean moved at
+        # both sizes and seed 2's at 35,200 rows.
+        matrices = [sample_cost_matrix(9, seed) for seed in (2, 3, 8)]
+        expected = [enumerated_field_mean(c) for c in matrices]
+        assert expected[0] == 0.060274618590488244
+        monkeypatch.setattr(_permutations, "BLOCK_ROWS", block_rows)
+        assert [enumerated_field_mean(c) for c in matrices] == expected
 
 
 class TestNearMaximalSet:
@@ -167,6 +178,45 @@ class TestSizesAbove:
             assert enumerator._sizes_above(entries, thresholds).tolist() == (
                 [np.count_nonzero(sums > t) for t in thresholds]
             )
+
+    @staticmethod
+    def _threshold_sets(sums: np.ndarray, n: int) -> dict[str, np.ndarray]:
+        """Threshold sets for the one-pass count, near the top of ``sums``
+        as near-max thresholds are, at and beside sums of their own."""
+        top = np.sort(sums)[::-1]
+        picks = top[[0, 2, 30, 400, 5000]]
+        beside = np.array([t for p in picks for t in (np.nextafter(p, np.inf), p)])
+        descending = np.sort(beside)[::-1]
+        # --sensitivity's nine: three epsilons, each at the plug-in mean
+        # and 2 standard errors below and above it, in nearmax_table's order.
+        eps = np.repeat([0.05, 0.1, 0.2], 3)
+        shift = np.tile([0.0, -2.0, 2.0], 3)
+        m_hat = top[0] / (0.97 * math.sqrt(n))
+        return {
+            "descending": descending,
+            "shuffled": np.random.default_rng(n).permutation(descending),
+            "duplicated": np.concatenate([descending[3:6], descending, descending[:4]]),
+            "above every sum": np.nextafter(top[0], np.inf) + np.array([0.0, 1.0, 0.5]),
+            "sensitivity": (1.0 - eps) * (m_hat + shift * 0.01 * abs(m_hat)) * math.sqrt(n),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["descending", "shuffled", "duplicated", "above every sum", "sensitivity"]
+    )
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_one_pass_counts_every_threshold(self, n, kind):
+        # Only sums above the lowest threshold are kept, then every
+        # threshold is counted on them: each count must still be one
+        # comparison of all n! sums with that threshold.
+        entries = adversarial_entries("gaussian", n)
+        sums = np.concatenate([sums for _, _, sums in raw_sum_blocks_oracle(entries)])
+        thresholds = self._threshold_sets(sums, n)[kind]
+        expected = [np.count_nonzero(sums > t) for t in thresholds]
+        if kind == "above every sum":
+            assert expected == [0, 0, 0]
+        else:
+            assert len(set(expected)) > 2, expected
+        assert enumerator._sizes_above(entries, thresholds).tolist() == expected
 
     def test_counting_tasks_do_not_refault(self):
         # glibc may return a freed array's pages to the system, so the next

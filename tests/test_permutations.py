@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graf._permutations import BLOCK_ROWS, raw_sum_blocks
-from graf.enumerator import enumerated_field_mean
+from graf.enumerator import MEAN_PARTIAL_ROWS, enumerated_field_mean
 from graf.field import CostMatrix
 
 from conftest import adversarial_entries, raw_sum_blocks_oracle
@@ -66,10 +66,14 @@ class TestRawSumBlocks:
 
     @pytest.mark.parametrize("kind", ["gaussian", "scaled"])
     def test_enumerated_mean_sums_the_oracle_blocks(self, kind):
-        # enumerated_field_mean fsums per-block partials, so it needs the
-        # oracle's block boundaries as well as its sums.
+        # enumerated_field_mean fsums one partial per MEAN_PARTIAL_ROWS sums,
+        # so it needs those partials' boundaries as well as the oracle's sums.
         entries = adversarial_entries(kind, 9)
-        total = math.fsum(float(sums.sum()) for _, _, sums in raw_sum_blocks_oracle(entries))
+        sums = np.concatenate([sums for _, _, sums in raw_sum_blocks_oracle(entries)])
+        total = math.fsum(
+            float(sums[k : k + MEAN_PARTIAL_ROWS].sum())
+            for k in range(0, len(sums), MEAN_PARTIAL_ROWS)
+        )
         expected = total / (math.factorial(9) * math.sqrt(9))
         assert enumerated_field_mean(CostMatrix(entries)) == expected
 
