@@ -116,6 +116,33 @@ class EstimateReport:
 #: Columns of a :func:`replicate_block` row, in order.
 STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
+#: Least size whose kernel LSA solves take reduced costs (see
+#: :func:`_lsa_columns`); below it, forming them costs more than they save.
+REDUCED_COST_N_MIN = 40
+
+
+def _lsa_columns(entries: np.ndarray, maximize: bool) -> list[np.ndarray]:
+    """The columns ``linear_sum_assignment(c, maximize=maximize)`` gives
+    each matrix ``c`` of a ``(B, n, n)`` batch of sampled costs.
+
+    From ``n = REDUCED_COST_N_MIN`` on, it minimizes reduced costs
+    instead: each row of ``c`` less the row's minimum (for the maximum,
+    the row's maximum less the row), then each column less its minimum.
+    Subtracting a constant from a row or a column shifts every
+    assignment's sum by the same amount, so the optimum holds, and the
+    solver's zero duals start nearer it.  Sampled entries lie in (-9, 9),
+    so reduced costs lie in [0, 18).
+    """
+    linear_sum_assignment = _linear_sum_assignment()
+    if entries.shape[1] < REDUCED_COST_N_MIN:
+        return [linear_sum_assignment(c, maximize=maximize)[1] for c in entries]
+    columns = []
+    for c in entries:
+        d = c.max(axis=1)[:, None] - c if maximize else c - c.min(axis=1)[:, None]
+        d -= d.min(axis=0)
+        columns.append(linear_sum_assignment(d)[1])
+    return columns
+
 
 def replicate_block(
     n: int, seeds: Sequence[int] | np.ndarray, columns: int = len(STAT_KEYS)
@@ -129,25 +156,22 @@ def replicate_block(
     collapses to ``sum_ij c(i, j) / (n * sqrt(n))``) and the residual
     maximum (the maximum minus the field mean).  Only the solves those
     columns need run, and each column has the bits it has in a full row.
-    Matrices are drawn and solved a sampling pass at a time, so memory
-    does not grow with the batch.
+    The LSA solves take reduced costs from ``n = REDUCED_COST_N_MIN`` on
+    (see :func:`_lsa_columns`); the values are summed from the sampled
+    entries either way.  Matrices are drawn and solved a sampling pass at
+    a time, so memory does not grow with the batch.
     """
     if not 1 <= columns <= len(STAT_KEYS):
         raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")
     rows = np.empty((len(seeds), columns))
     root_n = math.sqrt(n)
     step = sample_chunk_size(n)
-    linear_sum_assignment = _linear_sum_assignment()
     for start in range(0, len(seeds), step):
         entries = sample_cost_entries(n, seeds[start : start + step])
         out = rows[start : start + len(entries)]
         matrix, row = np.arange(len(entries))[:, None], np.arange(n)
         for col in range(min(columns, 3)):
-            solved = (
-                greedy_columns(entries)
-                if col == 2
-                else [linear_sum_assignment(c, maximize=col == 0)[1] for c in entries]
-            )
+            solved = greedy_columns(entries) if col == 2 else _lsa_columns(entries, col == 0)
             out[:, col] = entries[matrix, row, solved].sum(axis=1) / root_n
         if columns > 3:
             out[:, 3] = entries.reshape(len(entries), n * n).sum(axis=1) / (n * root_n)
@@ -162,11 +186,20 @@ def _replicate_rows(task: tuple[int, int, int, int, int]) -> np.ndarray:
     return replicate_block(n, _child_seeds(master_seed, start, stop), columns)
 
 
+#: Least matrices in a row task that is not its block's last.  A task
+#: costs the parent about 0.6 ms of CPU to submit and consume, and one
+#: matrix at n = 200 takes a worker 3-4 ms.
+ROW_TASK_MATRICES = 8
+
+
 def _row_tasks(n: int, master_seed: int, replications: int, columns: int = len(STAT_KEYS)):
     """Row tasks ``(n, master_seed, start, stop, columns)`` in replication
-    order: one sampling pass of :func:`replicate_block`, never crossing a
-    block."""
+    order: the fewest whole sampling passes of :func:`replicate_block` that
+    hold ``ROW_TASK_MATRICES`` matrices, never crossing a block, so a
+    block's last task may hold fewer.  Up to ``n = 90`` a pass holds at
+    least 8 matrices, and each task is one pass."""
     step = sample_chunk_size(n)
+    step *= -(-ROW_TASK_MATRICES // step)
     for block in range(0, replications, BLOCK_REPLICATIONS):
         stop = min(block + BLOCK_REPLICATIONS, replications)
         for start in range(block, stop, step):
@@ -390,7 +423,7 @@ def estimate(
     """Replicated moment estimates for the extremes at size ``n``.
 
     Replication ``k`` uses ``derive_seed(master_seed, k)``.  Workers
-    compute rows a sampling pass at a time; the parent pushes them in
+    compute the rows of :func:`_row_tasks`; the parent pushes them in
     replication order into fixed blocks of :data:`BLOCK_REPLICATIONS`
     merged in block order, so the report does not depend on ``workers``.
     """

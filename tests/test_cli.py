@@ -857,8 +857,12 @@ class TestProcessSetup:
     def test_freed_arrays_are_reused_without_faults(self):
         # Two 4 MiB arrays a round: above glibc's default mmap threshold,
         # so without the step each round maps and faults them in anew.
+        # PR_SET_THP_DISABLE (41) keeps khugepaged out of this process: a
+        # collapse of the heap into a huge page while a round writes it
+        # faults once, whether or not the memory was reused.
         script = "\n".join([
-            "import json, resource",
+            "import ctypes, json, resource",
+            "assert ctypes.CDLL(None).prctl(41, 1, 0, 0, 0) == 0",
             "import numpy as np",
             "from graf.cli import main",
             "assert main(['bounds', '--n-list', '3']) == 0",

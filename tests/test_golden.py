@@ -62,6 +62,13 @@ CLI_CASES = {
          "--workers", "1"],
         "d3328c7b5d8624e50910cc0a45a8705f1ca2e3a65e633eaf33ab99b130b82a4c",
     ),
+    # Sizes on both sides of the kernel's reduced-cost crossover (n = 40),
+    # and one whose row tasks span two sampling passes (n = 100).
+    "ratio-table-large": (
+        ["ratio-table", "--n-list", "39,40,64,100", "--reps", "24", "--seed", "21",
+         "--workers", "1"],
+        "880ea08570e11697d75140555cb55ab57c525165b2482ac61d0c177c79f162ba",
+    ),
     "nearmax-config": (
         ["nearmax", "--config", "{config}"],
         "cd7dd093584c4729712af23d2c72cc1d807402b8951fb1961c451b0bcd9dea42",
@@ -122,7 +129,7 @@ def test_cli_document_digest(name, tmp_path, capsys):
     assert _sha256(_run_case(tmp_path, argv)) == digest
 
 
-@pytest.mark.parametrize("name", ["ratio-table", "nearmax-config"])
+@pytest.mark.parametrize("name", ["ratio-table", "ratio-table-large", "nearmax-config"])
 def test_pooled_document_digest(name, tmp_path, capsys, monkeypatch):
     # Small row and counting tasks, so two workers share the m-pass, the
     # counting and every size.

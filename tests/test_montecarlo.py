@@ -319,10 +319,11 @@ class TestReplicateBlock:
 
     @settings(max_examples=3, deadline=None)
     @given(root=st.integers(0, SEED_MAX))
-    @pytest.mark.parametrize("n, batch", [(60, 40), (257, 3)])
+    @pytest.mark.parametrize("n, batch", [(39, 50), (40, 45), (60, 40), (120, 5), (257, 3)])
     def test_batches_spanning_sampling_passes(self, n, batch, root):
         # 60x60 matrices split a 40-seed batch across passes; a 257x257
-        # matrix fills a pass on its own.
+        # matrix fills a pass on its own.  n = 39 and 40 lie on either side
+        # of REDUCED_COST_N_MIN.
         assert sample_chunk_size(n) < batch
         seeds = [derive_seed(root, k) for k in range(batch)]
         assert replicate_block(n, seeds).tolist() == [oracle_row(n, s) for s in seeds]
@@ -355,6 +356,20 @@ class TestReplicateBlock:
         monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
         replicate_block(6, [derive_seed(3, k) for k in range(7)], 1)
         assert calls == [True] * 7
+
+    @pytest.mark.parametrize("n, count", [(40, 1000), (64, 1000), (100, 1000), (200, 40)])
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_reduced_costs_keep_the_solver_columns(self, n, count, maximize):
+        # From REDUCED_COST_N_MIN on the kernel solves reduced costs; each
+        # matrix must get the columns of the plain call.
+        assert n >= montecarlo.REDUCED_COST_N_MIN
+        lsa = montecarlo._linear_sum_assignment()
+        seeds, step = montecarlo._child_seeds(n, 0, count), sample_chunk_size(n)
+        for start in range(0, count, step):
+            entries = sample_cost_entries(n, seeds[start : start + step])
+            solved = montecarlo._lsa_columns(entries, maximize)
+            plain = [lsa(c, maximize=maximize)[1] for c in entries]
+            assert all(np.array_equal(a, b) for a, b in zip(solved, plain)), start
 
     @pytest.mark.parametrize("columns", [0, len(STAT_KEYS) + 1])
     def test_rejects_bad_column_count(self, columns):
@@ -501,11 +516,54 @@ class TestEstimate:
     def test_window_bounds_unfinished_tasks(self, fake_pool, monkeypatch):
         # One row per task: 30 tasks through a pool of 2.
         monkeypatch.setattr(montecarlo, "sample_chunk_size", lambda n: 1)
+        monkeypatch.setattr(montecarlo, "ROW_TASK_MATRICES", 1)
         report = estimate(3, 30, 8, workers=2)
         assert fake_pool.sizes == [2]
         assert fake_pool.peak == 2 * montecarlo.TASKS_PER_WORKER
         assert fake_pool.unfinished == 0
         assert report == estimate(3, 30, 8, workers=1)
+
+
+def parent_row_task_count(n: int, replications: int) -> int:
+    """Row tasks of one sampling pass each, never crossing a block."""
+    blocks = range(0, replications, montecarlo.BLOCK_REPLICATIONS)
+    step = sample_chunk_size(n)
+    return sum(
+        -(-min(montecarlo.BLOCK_REPLICATIONS, replications - block) // step)
+        for block in blocks
+    )
+
+
+class TestRowTasks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 3 * montecarlo.BLOCK_REPLICATIONS))
+    def test_whole_passes_of_at_least_the_least_matrices(self, n, reps):
+        tasks = list(montecarlo._row_tasks(n, 5, reps, 3))
+        assert [t[0] for t in tasks] == [n] * len(tasks)
+        assert {(t[1], t[4]) for t in tasks} == {(5, 3)}
+        starts = [t[2] for t in tasks]
+        stops = [t[3] for t in tasks]
+        assert starts == [0, *stops[:-1]] and stops[-1] == reps
+        assert len(tasks) == montecarlo._row_task_count(n, reps)
+        step, block_size = sample_chunk_size(n), montecarlo.BLOCK_REPLICATIONS
+        for start, stop in zip(starts, stops):
+            block = start // block_size * block_size
+            block_stop = min(block + block_size, reps)
+            assert stop <= block_stop
+            assert (start - block) % step == 0
+            assert (stop - block) % step == 0 or stop == block_stop
+            if stop < block_stop:
+                # Enough matrices, and one pass fewer would not be.
+                assert stop - start >= montecarlo.ROW_TASK_MATRICES > stop - start - step
+        if n <= 90:
+            assert len(tasks) == parent_row_task_count(n, reps)
+
+    @pytest.mark.parametrize(
+        "n, reps, count",
+        [(10, 32768, 56), (8, 4096, 4), (9, 4096, 6), (100, 512, 43), (200, 512, 64)],
+    )
+    def test_task_counts(self, n, reps, count):
+        assert montecarlo._row_task_count(n, reps) == count
 
 
 class TestRatioTable:
@@ -525,6 +583,14 @@ class TestRatioTable:
         assert [montecarlo._row_task_count(n, reps) for n in sizes] == [1, 15, 2]
         rows = ratio_table(sizes, reps, seed, workers=workers)
         assert rows == [estimate(n, reps, derive_seed(seed, n)) for n in sizes]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_multi_pass_tasks_at_both_worker_counts(self, seed, monkeypatch):
+        # Row tasks at n = 95 and 120 hold two sampling passes.
+        assume_cores(monkeypatch, 2)
+        assert [montecarlo._row_task_count(n, 40) for n in (95, 120)] == [3, 5]
+        rows = ratio_table([95, 120], 40, seed, workers=2)
+        assert rows == ratio_table([95, 120], 40, seed, workers=1)
 
     def test_shapes_and_determinism(self):
         rows = ratio_table([3, 5], 400, 21)
