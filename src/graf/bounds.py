@@ -2,26 +2,25 @@
 
 ``mu_k`` denotes the expected maximum of ``k`` independent standard
 Gaussians, computed by adaptive quadrature with QUADPACK's ``qagpe`` and
-``log_ndtr``, which load with this module from their compiled files, not
-from ``scipy.integrate`` or ``scipy.special``.  The remaining quantities are
-elementary transforms of ``log(n!)``: the mean upper bound
-``sqrt(2 (1 - 1/n) log(n!))``, the greedy lower bound
+``log_ndtr``, which :mod:`graf._scipy` loads with this module from their
+compiled files, not from ``scipy.integrate`` or ``scipy.special``.  The
+remaining quantities are elementary transforms of ``log(n!)``: the mean
+upper bound ``sqrt(2 (1 - 1/n) log(n!))``, the greedy lower bound
 ``n**-0.5 * sum_{i<=n} mu_i``, the variance lower bound ``1/n``, and the
 two near-maximal-set bound shapes with caller-supplied constants.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
+from graf import _scipy
 from graf.combinatorics import log_factorial
-from graf.solvers import _quad, _scipy_compiled
 
-log_ndtr = _scipy_compiled("special._special_ufuncs", "log_ndtr")
-# scipy.integrate.quad for finite limits with break points.  perfbench's
-# tracer wraps this attribute to count quadratures, so it is no def here.
-quad = functools.partial(_quad, _scipy_compiled("integrate._quadpack", "_qagpe"))
+log_ndtr = _scipy.log_ndtr()
+_scipy.qagpe()  # quad's routine loads with this module too, not at the first mu_k
+# perfbench's tracer wraps quad to count quadratures, so it is no def here.
+quad = _scipy.quad
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 import graf
-from graf import __version__
+from graf import __version__, _scipy
 from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, rencontres_count
 from graf.enumerator import (
     ENUM_N_MAX,
@@ -48,8 +48,6 @@ from graf.field import (
 from graf.montecarlo import STAT_KEYS, EstimateReport, derive_seed, estimate, ratio_table
 from graf.serialize import atomic_write_text, fmt, fmt_codes, to_csv_text, to_json_text
 from graf.solvers import (
-    _linear_sum_assignment,
-    _ndtri,
     greedy_assignment,
     solve_max_bruteforce,
     solve_max_exact,
@@ -260,16 +258,15 @@ def _modules(*names: str):
     return lambda: [importlib.import_module(name) for name in names]
 
 
-# graf.bounds loads QUADPACK's qagpe and log_ndtr, no scipy package; the
-# np.unique of its quadrature imports numpy.ma on first use.
-_BOUNDS = _modules("graf.bounds", "numpy.ma")
+# graf.bounds' quadrature imports numpy.ma and scipy._lib._ccallback on first use.
+_BOUNDS = _modules("graf.bounds", "numpy.ma", "scipy._lib._ccallback")
 _POOL = _modules("concurrent.futures.process")
 
 
 def _sampler() -> None:
     """Load what the sampler calls: scipy's compiled ``ndtri``, and
     ``numpy.random``, which numpy imports at the first ``np.random``."""
-    _ndtri()
+    _scipy.ndtri()
     importlib.import_module("numpy.random")
 
 
@@ -549,13 +546,13 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 #: parts it calls, and the process pool's modules for the commands that
 #: may start one, which alone take --workers.
 _COMMANDS = {
-    "solve": (_cmd_solve, (_linear_sum_assignment,)),
+    "solve": (_cmd_solve, (_scipy.linear_sum_assignment,)),
     "bounds": (_cmd_bounds, (_BOUNDS,)),
-    "estimate": (_cmd_estimate, (_sampler, _linear_sum_assignment, _POOL)),
-    "ratio-table": (_cmd_ratio_table, (_sampler, _BOUNDS, _linear_sum_assignment, _POOL)),
-    "nearmax": (_cmd_nearmax, (_sampler, _linear_sum_assignment, _POOL)),
+    "estimate": (_cmd_estimate, (_sampler, _scipy.linear_sum_assignment, _POOL)),
+    "ratio-table": (_cmd_ratio_table, (_sampler, _BOUNDS, _scipy.linear_sum_assignment, _POOL)),
+    "nearmax": (_cmd_nearmax, (_sampler, _scipy.linear_sum_assignment, _POOL)),
     "enumerate": (_cmd_enumerate, ()),
-    "verify": (_cmd_verify, (_sampler, _linear_sum_assignment)),
+    "verify": (_cmd_verify, (_sampler, _scipy.linear_sum_assignment)),
 }
 
 

@@ -25,9 +25,10 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from graf import _scipy
 from graf.combinatorics import log_factorial
 from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
-from graf.solvers import _linear_sum_assignment, greedy_columns
+from graf.solvers import greedy_columns
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -133,7 +134,7 @@ def _lsa_columns(entries: np.ndarray, maximize: bool) -> list[np.ndarray]:
     solver's zero duals start nearer it.  Sampled entries lie in (-9, 9),
     so reduced costs lie in [0, 18).
     """
-    linear_sum_assignment = _linear_sum_assignment()
+    linear_sum_assignment = _scipy.linear_sum_assignment()
     if entries.shape[1] < REDUCED_COST_N_MIN:
         return [linear_sum_assignment(c, maximize=maximize)[1] for c in entries]
     columns = []

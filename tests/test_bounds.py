@@ -1,4 +1,3 @@
-import functools
 import math
 
 import pytest
@@ -6,7 +5,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr
 from scipy.stats import norm
 
-from graf import bounds
+from graf import _scipy, bounds
 from graf.bounds import (
     expected_max_iid_gaussian,
     greedy_lower_bound,
@@ -16,8 +15,6 @@ from graf.bounds import (
     upper_bound_expected_max,
     variance_lower_bound,
 )
-
-from conftest import run_fresh
 
 
 def survival_form_expected_max(k: int) -> float:
@@ -52,65 +49,6 @@ def empty_mu_cache(monkeypatch):
     monkeypatch.setattr(bounds, "_mu_cache", {1: 0.0})
 
 
-class TestCompiledRoutines:
-    """QUADPACK's qagpe and log_ndtr come from their compiled scipy
-    modules, loaded alone by the loader that also serves the solvers."""
-
-    _PACKAGES = "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.linalg')"
-
-    def test_loads_the_files_without_scipy_packages(self):
-        # A silent fallback would import scipy.integrate and with it
-        # scipy.optimize, about 0.25 s.
-        script = "\n".join([
-            "import sys",
-            "from graf import bounds",
-            f"packages = {self._PACKAGES}",
-            "assert not [m for m in packages if m in sys.modules], 'fell back'",
-            "loaded = ('scipy.integrate._quadpack', 'scipy.special._special_ufuncs')",
-            "assert all(m in sys.modules for m in loaded), 'the loaded files stay'",
-            "bounds.greedy_lower_bound(20)",
-            "assert not [m for m in packages if m in sys.modules], 'loaded while computing'",
-            # A package imported later reuses the loaded files but does not
-            # bind them as its attributes, unless its own code imports them so.
-            "import scipy.special",
-            "from scipy.integrate import _quadpack",
-            "assert bounds.log_ndtr is scipy.special.log_ndtr",
-            "assert bounds.quad.args[0] is _quadpack._qagpe",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_missing_files_fall_back(self, tmp_path):
-        script = "\n".join([
-            "import sys",
-            "from graf import solvers",
-            f"solvers._extension_path = lambda module: {str(tmp_path / 'missing.so')!r}",
-            "from graf import bounds",
-            "assert 'scipy.special' in sys.modules and 'scipy.integrate' in sys.modules",
-            "import scipy.special, scipy.integrate._quadpack",
-            "assert bounds.log_ndtr is scipy.special.log_ndtr",
-            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
-            "print(bounds.expected_max_iid_gaussian(9).hex())",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-        assert float.fromhex(result.stdout.strip()) == expected_max_iid_gaussian(9)
-
-    def test_takes_the_loaded_packages(self):
-        script = "\n".join([
-            "import scipy.integrate, scipy.special",
-            "from graf import solvers",
-            "def not_called(name, path):",
-            "    raise AssertionError(f'loaded {name} from its file, not its package')",
-            "solvers._load_extension = not_called",
-            "from graf import bounds",
-            "assert bounds.log_ndtr is scipy.special.log_ndtr",
-            "assert bounds.quad.args[0] is scipy.integrate._quadpack._qagpe",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-
 class TestQuadrature:
     """``bounds.quad`` is ``scipy.integrate.quad``'s own call to QUADPACK."""
 
@@ -127,7 +65,7 @@ class TestQuadrature:
         def round_off(*args):
             return 1.0, 0.0, 2
 
-        monkeypatch.setattr(bounds, "quad", functools.partial(bounds.quad.func, round_off))
+        monkeypatch.setattr(_scipy, "qagpe", lambda: round_off)
         with pytest.raises(ArithmeticError, match="ier=2"):
             expected_max_iid_gaussian(5)
         assert 5 not in bounds._mu_cache

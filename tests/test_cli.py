@@ -601,12 +601,13 @@ class TestEnumerateCommand:
 # a fresh interpreter holds after the lines before.
 _LOADED_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
-# Records, in a fresh interpreter, the compiled scipy routines that the
-# shared loader returns from here on.
+# Records, in a fresh interpreter, the compiled scipy routines that
+# graf._scipy loads from here on: its accessors cache what they return, so
+# it loads each routine at most once.
 _RECORD_ROUTINES = "\n".join([
-    "from graf import solvers",
-    "routines, load = [], solvers._scipy_compiled",
-    "solvers._scipy_compiled = lambda module, attr: routines.append(attr) or load(module, attr)",
+    "from graf import _scipy",
+    "routines, load = [], _scipy._load",
+    "_scipy._load = lambda module, attr: routines.append(attr) or load(module, attr)",
 ])
 
 # Prints, as the last stdout line, the JSON list of the set-up modules
@@ -671,7 +672,8 @@ class TestScipyLoading:
 
     def test_parsing_estimate_loads_scipy(self):
         # The compiled LSA and ndtri load without scipy.optimize,
-        # scipy.special and their dependencies.
+        # scipy.special and their dependencies, and their files' modules
+        # leave sys.modules again (tests/test_scipy.py).
         script = "\n".join([
             "import json, sys",
             "from graf.cli import parse_args",
@@ -681,29 +683,10 @@ class TestScipyLoading:
         result = run_fresh(script, *_required_flags("estimate"))
         assert result.returncode == 0, result.stderr
         loaded = set(json.loads(result.stdout))
-        assert {"scipy.optimize._lsap", "scipy.special._ufuncs"} <= loaded
+        assert not {"scipy.optimize._lsap", "scipy.special._ufuncs"} & loaded
         packages = {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
                     "scipy.special"}
         assert not packages & loaded
-
-    def test_ratio_table_loads_log_ndtr_once(self):
-        # ndtri's load brings _special_ufuncs, and graf.bounds takes
-        # log_ndtr from that module instead of loading its file again.
-        script = "\n".join([
-            "import sys",
-            "from graf import solvers",
-            "paths, load = [], solvers._load_extension",
-            "solvers._load_extension = lambda name, path: paths.append(path) or load(name, path)",
-            "from graf.cli import parse_args",
-            "parse_args(sys.argv[1:])",
-            "loads = [p for p in paths if 'special/_special_ufuncs' in p.replace(chr(92), '/')]",
-            "assert len(loads) <= 1, paths",
-            "assert 'scipy.special' not in sys.modules",
-            "import graf.bounds, scipy.special",
-            "assert graf.bounds.log_ndtr is scipy.special.log_ndtr",
-        ])
-        result = run_fresh(script, *_required_flags("ratio-table"))
-        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
     def test_every_command_but_enumerate_loads_scipy(self, command):
@@ -761,25 +744,29 @@ class TestScipyLoading:
          ["ratio-table", "--n-list", "3,4", "--reps", "4", "--seed", "0", "--workers", "1"],
          ["nearmax", "--n", "3", "--eps", "0.5", "--reps", "4", "--m-reps", "8", "--seed",
           "0", "--workers", "1"],
-         ["verify", "--n", "3", "--delta", "0.3", "--seed", "0"]],
-        ids=["estimate", "estimate-csv", "ratio-table", "nearmax", "verify"],
+         ["verify", "--n", "3", "--delta", "0.3", "--seed", "0"],
+         ["bounds", "--n-list", "1,3", "--eps", "0.1"]],
+        ids=["estimate", "estimate-csv", "ratio-table", "nearmax", "verify", "bounds"],
     )
     def test_sampling_commands_load_nothing_while_computing(self, flags):
         # numpy imports numpy.random at the first np.random and numpy.ma at
         # the first np.unique; set-up loads both, so that they count as
-        # set-up and a worker pool forked later inherits them.
+        # set-up and a worker pool forked later inherits them.  A scipy
+        # file loaded while computing leaves no module behind, so the
+        # loads of graf._scipy are recorded too.
         script = "\n".join([
             "import json, sys",
             "from graf import cli",
             "config = cli.parse_args(sys.argv[1:])",
             "before = set(sys.modules)",
+            _RECORD_ROUTINES,
             "status = cli.run(config)",
-            "print(json.dumps(sorted(set(sys.modules) - before)))",
+            "print(json.dumps([sorted(set(sys.modules) - before), routines]))",
             "sys.exit(status)",
         ])
         result = run_fresh(script, *flags)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == []
+        assert json.loads(result.stdout.splitlines()[-1]) == [[], []]
 
 
 def _is_glibc() -> bool:

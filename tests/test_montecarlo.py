@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
-from graf import montecarlo
+from graf import _scipy, montecarlo
 from graf.enumerator import enumerated_field_mean
 from graf.field import (
     SAMPLE_N_MAX,
@@ -350,9 +350,9 @@ class TestReplicateBlock:
         def no_greedy(entries):
             raise AssertionError("greedy ran")
 
-        # replicate_block takes the solver from the loader when called.
-        montecarlo_lsa = montecarlo._linear_sum_assignment()
-        monkeypatch.setattr(montecarlo, "_linear_sum_assignment", lambda: recording_lsa)
+        # replicate_block takes the solver from graf._scipy when called.
+        montecarlo_lsa = _scipy.linear_sum_assignment()
+        monkeypatch.setattr(_scipy, "linear_sum_assignment", lambda: recording_lsa)
         monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
         replicate_block(6, [derive_seed(3, k) for k in range(7)], 1)
         assert calls == [True] * 7
@@ -363,7 +363,7 @@ class TestReplicateBlock:
         # From REDUCED_COST_N_MIN on the kernel solves reduced costs; each
         # matrix must get the columns of the plain call.
         assert n >= montecarlo.REDUCED_COST_N_MIN
-        lsa = montecarlo._linear_sum_assignment()
+        lsa = _scipy.linear_sum_assignment()
         seeds, step = montecarlo._child_seeds(n, 0, count), sample_chunk_size(n)
         for start in range(0, count, step):
             entries = sample_cost_entries(n, seeds[start : start + step])

@@ -20,7 +20,7 @@ from graf.solvers import (
     solve_min_exact,
 )
 
-from conftest import greedy_oracle, random_matrix, random_permutation, run_fresh
+from conftest import greedy_oracle, random_matrix, random_permutation
 
 
 def diagonal_dominant(n: int, rng) -> CostMatrix:
@@ -126,116 +126,6 @@ class TestExactSolver:
         c = random_matrix(rng, 9)
         result = solve_max_exact(c)
         assert result.field_value == pytest.approx(result.raw_sum / 3.0, rel=1e-15)
-
-
-class TestLsaLoader:
-    """The solver and the sampler's ndtri come from scipy's compiled
-    modules, loaded alone by the loader that also serves graf.bounds
-    (tests/test_bounds.py, TestCompiledRoutines)."""
-
-    def test_loads_the_file_without_scipy_optimize(self):
-        # A silent fallback would import scipy.optimize, about 0.25 s.
-        script = "\n".join([
-            "import sys",
-            "from graf.solvers import _linear_sum_assignment",
-            "lsa = _linear_sum_assignment()",
-            "assert 'scipy.optimize' not in sys.modules, 'fell back to scipy.optimize'",
-            "assert 'scipy.optimize._lsap' in sys.modules, 'the loaded file stays'",
-            "assert type(lsa).__name__ == 'builtin_function_or_method', lsa",
-            "import scipy.optimize",
-            "assert scipy.optimize.linear_sum_assignment is lsa",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_missing_file_falls_back(self, tmp_path):
-        script = "\n".join([
-            "import sys",
-            "from graf import solvers",
-            f"solvers._extension_path = lambda module: {str(tmp_path / '_lsap.so')!r}",
-            "lsa = solvers._linear_sum_assignment()",
-            "assert 'scipy.optimize' in sys.modules",
-            "import scipy.optimize",
-            "assert lsa is scipy.optimize.linear_sum_assignment",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_ndtri_loads_without_scipy_special(self):
-        # scipy.special._ufuncs loads alone once the modules it imports as
-        # it loads are in sys.modules.  A scipy release that changes that
-        # set makes the loader fall back to the package, about 0.3 s.
-        script = "\n".join([
-            "import sys",
-            "from graf import solvers",
-            "ndtri = solvers._scipy_compiled('special._ufuncs', 'ndtri')",
-            "assert 'scipy.special' not in sys.modules, 'fell back to scipy.special'",
-            "assert type(ndtri).__name__ == 'ufunc', ndtri",
-            "import scipy.special",
-            "assert scipy.special.ndtri is ndtri",
-            "assert scipy.special._ufuncs is sys.modules['scipy.special._ufuncs']",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_missing_sibling_falls_back(self, tmp_path):
-        script = "\n".join([
-            "import sys",
-            "from graf import solvers",
-            "path = solvers._extension_path",
-            f"missing = {str(tmp_path / '_gufuncs.so')!r}",
-            "solvers._extension_path = lambda module: (",
-            "    missing if module == 'special._gufuncs' else path(module))",
-            "ndtri = solvers._ndtri()",
-            "assert 'scipy.special' in sys.modules",
-            "import scipy.special",
-            "assert ndtri is scipy.special.ndtri",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_failed_load_leaves_no_module(self, tmp_path):
-        # _special_ufuncs' file is missing after _ufuncs_cxx and
-        # _ellip_harm_2 have loaded: the fallback must find sys.modules as
-        # it was.  What _ufuncs_cxx imports besides its package is
-        # imported first.
-        script = "\n".join([
-            "import importlib, sys, types",
-            "import numpy, scipy._cyutility, scipy._lib._ccallback",
-            "from graf import solvers",
-            "path, load = solvers._extension_path, solvers._load_extension",
-            f"missing = {str(tmp_path / '_special_ufuncs.so')!r}",
-            "solvers._extension_path = lambda module: (",
-            "    missing if module == 'special._special_ufuncs' else path(module))",
-            "loads, at_fallback = [], []",
-            "solvers._load_extension = lambda name, file: loads.append(name) or load(name, file)",
-            "def import_module(name):",
-            "    at_fallback.append(dict(sys.modules))",
-            "    return importlib.import_module(name)",
-            "solvers.importlib = types.SimpleNamespace(",
-            "    import_module=import_module, util=importlib.util, machinery=importlib.machinery)",
-            "before = dict(sys.modules)",
-            "ndtri = solvers._ndtri()",
-            "assert [name.rpartition('.')[2] for name in loads] == [",
-            "    '_ufuncs_cxx', '_ellip_harm_2', '_special_ufuncs'], loads",
-            "assert at_fallback == [before], set(at_fallback[0]) ^ set(before)",
-            "import scipy.special",
-            "assert ndtri is scipy.special.ndtri",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
-
-    def test_takes_the_loaded_package(self):
-        script = "\n".join([
-            "import scipy.optimize",
-            "from graf import solvers",
-            "def not_called(name, path):",
-            "    raise AssertionError('loaded the file although scipy.optimize was loaded')",
-            "solvers._load_extension = not_called",
-            "assert solvers._linear_sum_assignment() is scipy.optimize.linear_sum_assignment",
-        ])
-        result = run_fresh(script)
-        assert result.returncode == 0, result.stderr
 
 
 class TestMinSolver:
