@@ -31,6 +31,7 @@ from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, re
 from graf.enumerator import (
     ENUM_N_MAX,
     HISTOGRAM_N_MAX,
+    _count_variants,
     ball_counts_exact,
     correlation_histogram_exact,
     enumerate_field,
@@ -440,6 +441,10 @@ _NEARMAX_COLUMNS = {
 
 
 def _cmd_nearmax(config: argparse.Namespace) -> int:
+    try:
+        _count_variants(config.eps, config.sensitivity, config.reps)
+    except ValueError as exc:
+        raise UsageError(f"argument --reps: {exc}")
     rows = nearmax_table(
         config.n,
         config.eps,

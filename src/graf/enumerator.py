@@ -22,9 +22,11 @@ from graf.field import CostMatrix, _assignment, sample_cost_entries
 from graf.montecarlo import (
     _child_seeds,
     _moments,
-    _row_stream,
-    _row_task_count,
+    _replicate_rows,
+    _row_study,
+    _task_count,
     _task_pool,
+    _tasks,
     derive_seed,
 )
 
@@ -36,10 +38,13 @@ ENUM_N_MAX = 9
 #: whole acceptance grid in seconds.
 HISTOGRAM_N_MAX = 8
 #: Most assignments one near-max counting task walks, so a task's dispatch
-#: and sampling are paid once for all its matrices.  A size's tasks split
-#: its matrices equally, to within one: 100 matrices make tasks of 50 and
-#: 50 at n = 8 and ten of 10 at n = 9 (at most 11).
+#: and sampling are paid once for all its matrices.  Tasks split each
+#: block of a size's matrices equally, to within one: 100 matrices make
+#: tasks of 50 and 50 at n = 8 and ten of 10 at n = 9 (at most 11).
 COUNT_TASK_ASSIGNMENTS = 4_000_000
+#: Most near-max counts (matrices times counting variants) a
+#: :func:`nearmax_table` call may hold; ``notes/decisions.md``, "One task rule".
+_COUNTS_MAX = 1 << 25
 #: Enumerated sums per float partial of :func:`enumerated_field_mean`,
 #: fixed here so its last bit does not move with the walk's block size.
 MEAN_PARTIAL_ROWS = 1 << 16
@@ -97,31 +102,36 @@ def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(kept > t) for t in thresholds], dtype=np.int64)
 
 
-def _count_matrices(task: tuple[int, int, np.ndarray, int, int]) -> np.ndarray:
-    """Near-max set sizes of matrices ``start..stop-1`` of a dimension
-    study, one row per matrix and one column per threshold.
+def _count_matrices(task: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
+    """Near-max set sizes of matrices ``start..stop-1`` under seed
+    ``root``, one row per matrix and one column per threshold.
 
     Each matrix is one walk of :func:`raw_sum_blocks`, which owns its sums
     buffer, so nothing is shared between matrices, tasks or threads.
     """
-    n, master_seed, thresholds, start, stop = task
-    seeds = _child_seeds(derive_seed(master_seed, n, 1), start, stop)
-    return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
+    n, root, start, stop, thresholds = task
+    entries = sample_cost_entries(n, _child_seeds(root, start, stop))
+    return np.array([_sizes_above(c, thresholds) for c in entries])
 
 
-def _count_task_count(n: int, replications: int) -> int:
-    """Number of counting tasks of one size: ``replications`` matrices at
-    most ``COUNT_TASK_ASSIGNMENTS // n!`` (and at least 1) per task."""
-    return -(-replications // max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n)))
+def _count_study(n: int, master_seed: int, replications: int) -> tuple:
+    """The :func:`~graf.montecarlo._tasks` study of ``replications`` matrices
+    counted at size ``n``, at most ``COUNT_TASK_ASSIGNMENTS`` assignments (at
+    least one matrix) a task; thresholds replace ``None`` after the m-pass."""
+    most = max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n))
+    return n, derive_seed(master_seed, n, 1), replications, most, None
 
 
-def _count_tasks(n: int, replications: int, master_seed: int, thresholds: np.ndarray):
-    """Counting tasks ``(n, master_seed, thresholds, start, stop)`` of one
-    size, in matrix order, whose sizes differ by at most one matrix."""
-    tasks = _count_task_count(n, replications)
-    bounds = [-(-k * replications // tasks) for k in range(tasks + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        yield n, master_seed, thresholds, start, stop
+def _count_variants(eps_list: list[float], sensitivity: bool, replications: int) -> list:
+    """One counting variant per (epsilon, mean shift) pair; ValueError if
+    ``replications`` matrices of them are more than ``_COUNTS_MAX`` counts."""
+    shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
+    variants = [(eps, shift) for eps in eps_list for shift in shifts]
+    if replications * len(variants) > _COUNTS_MAX:
+        raise ValueError(
+            f"{replications} matrices times {len(variants)} variants exceed {_COUNTS_MAX} counts"
+        )
+    return variants
 
 
 @dataclass(frozen=True)
@@ -206,14 +216,14 @@ def nearmax_table(
     standard error equal :func:`~graf.montecarlo.estimate`'s ``max_value``
     bit for bit.  Then ``replications`` matrices drawn under seed path
     ``(n, 1, k)`` are enumerated, in tasks of at most
-    :data:`COUNT_TASK_ASSIGNMENTS` assignments that split a size's
-    matrices equally, to within one; every epsilon is counted on the same
-    matrices.  With ``sensitivity`` enabled, extra rows re-count the sets
-    with the plug-in mean shifted by +-2 standard errors.  One worker pool
-    runs every size's m-pass as one task stream, then every size's
-    counting as another, so it drains twice per call, and it is sized by
-    the longer stream.  The counts are integers, so the table does not
-    depend on ``workers``.
+    :data:`COUNT_TASK_ASSIGNMENTS` assignments (see
+    :func:`~graf.montecarlo._tasks`); every epsilon is counted on the same
+    matrices, at most ``_COUNTS_MAX`` counts in all.  With ``sensitivity``
+    enabled, extra rows re-count the sets with the plug-in mean shifted by
+    +-2 standard errors.  One worker pool runs every size's m-pass as one
+    task stream, then every size's counting as another, so it drains
+    twice per call, and it is sized by the longer stream.  The counts are
+    integers, so the table does not depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon
@@ -229,50 +239,37 @@ def nearmax_table(
         raise ValueError("need at least 2 replications")
     if m_reps < 2:
         raise ValueError(f"m_reps must be at least 2, got {m_reps}")
-    shifts = [0.0, -2.0, 2.0] if sensitivity else [0.0]
-    # One counting variant per (epsilon, mean shift) pair.
-    variants = [(eps, shift) for eps in eps_list for shift in shifts]
-    m_studies = [(n, m_reps, derive_seed(master_seed, n, 0)) for n in n_list]
-    longest_phase = max(
-        sum(_row_task_count(n, m_reps) for n in n_list),
-        sum(_count_task_count(n, replications) for n in n_list),
-    )
+    variants = _count_variants(eps_list, sensitivity, replications)
+    m_studies = [_row_study(n, derive_seed(master_seed, n, 0), m_reps, 1) for n in n_list]
+    count_studies = [_count_study(n, master_seed, replications) for n in n_list]
     rows: list[DimensionSummary] = []
-    with _task_pool(workers, longest_phase) as run:
+    with _task_pool(workers, max(_task_count(m_studies), _task_count(count_studies))) as run:
         # Each phase is one stream over every size, so the pool drains
         # once per phase, not once per size.
-        results = _row_stream(run, m_studies, 1)
+        results = run(_replicate_rows, _tasks(m_studies))
         m_passes = [_moments(results, m_reps, 1)[0].summaries()["max_value"] for _ in n_list]
         eps_v, shift_v = np.array(variants).T
-        thresholds = [
-            (1.0 - eps_v) * (m.mean + shift_v * m.mean_std_error) * math.sqrt(n)
-            for n, m in zip(n_list, m_passes)
+        count_studies = [
+            (*study[:4], (1.0 - eps_v) * (m.mean + shift_v * m.mean_std_error) * math.sqrt(n))
+            for n, study, m in zip(n_list, count_studies, m_passes)
         ]
-        tasks = (
-            task
-            for n, t in zip(n_list, thresholds)
-            for task in _count_tasks(n, replications, master_seed, t)
-        )
-        counts = run(_count_matrices, tasks)
-        for n, m_pass in zip(n_list, m_passes):
+        counts = run(_count_matrices, _tasks(count_studies))
+        for n, study, m_pass in zip(n_list, count_studies, m_passes):
             m_hat, m_se = m_pass.mean, m_pass.mean_std_error
-            blocks = [next(counts) for _ in range(_count_task_count(n, replications))]
-            sizes = np.concatenate(blocks).T
-            # Empty sets contribute zero to the indicator-weighted log size.
-            log_sizes = np.array(
-                [[math.log(s) if s else 0.0 for s in row] for row in sizes.tolist()]
-            )
+            sizes = np.concatenate([next(counts) for _ in range(_task_count([study]))])
             log_nfact = math.lgamma(n + 1)
             for v, (eps, shift) in enumerate(variants):
-                indicator = log_sizes[v]
-                ne = sizes[v] > 0
+                # math.log once per distinct size (np.log can differ in the last
+                # bit); empty sets contribute zero to the indicator-weighted log size.
+                present = np.flatnonzero(np.bincount(sizes[:, v]))
+                logs = np.zeros(present[-1] + 1)
+                logs[present] = [math.log(s) if s else 0.0 for s in present.tolist()]
+                indicator = logs[sizes[:, v]]
+                ne = sizes[:, v] > 0
                 ne_count = int(ne.sum())
-                cond_mean = float(indicator[ne].mean()) if ne_count else math.nan
-                cond_se = (
-                    float(indicator[ne].std(ddof=1) / math.sqrt(ne_count))
-                    if ne_count >= 2
-                    else math.nan
-                )
+                nonempty = indicator[ne]
+                cond_mean = float(nonempty.mean()) if ne_count else math.nan
+                cond_se = nonempty.std(ddof=1) / math.sqrt(ne_count) if ne_count >= 2 else math.nan
                 rows.append(
                     DimensionSummary(
                         n=n,
@@ -282,7 +279,7 @@ def nearmax_table(
                         replications=replications,
                         empty_fraction=1.0 - ne_count / replications,
                         mean_log_size_nonempty=cond_mean,
-                        se_log_size=cond_se,
+                        se_log_size=float(cond_se),
                         dimension=float(indicator.mean()) / log_nfact,
                         se_dimension=float(indicator.std(ddof=1))
                         / math.sqrt(replications)

@@ -187,29 +187,37 @@ def _replicate_rows(task: tuple[int, int, int, int, int]) -> np.ndarray:
     return replicate_block(n, _child_seeds(master_seed, start, stop), columns)
 
 
-#: Least matrices in a row task that is not its block's last.  A task
-#: costs the parent about 0.6 ms of CPU to submit and consume, and one
-#: matrix at n = 200 takes a worker 3-4 ms.
+#: Row tasks hold at most the fewest whole sampling passes that reach
+#: this many matrices.  A task costs the parent about 0.6 ms of CPU to
+#: submit and consume, and one matrix at n = 200 takes a worker 3-4 ms.
 ROW_TASK_MATRICES = 8
 
 
-def _row_tasks(n: int, master_seed: int, replications: int, columns: int = len(STAT_KEYS)):
-    """Row tasks ``(n, master_seed, start, stop, columns)`` in replication
-    order: the fewest whole sampling passes of :func:`replicate_block` that
-    hold ``ROW_TASK_MATRICES`` matrices, never crossing a block, so a
-    block's last task may hold fewer.  Up to ``n = 90`` a pass holds at
-    least 8 matrices, and each task is one pass."""
+def _row_study(n: int, master_seed: int, replications: int, columns: int = len(STAT_KEYS)) -> tuple:
+    """The :func:`_tasks` study of ``replications`` rows of ``columns``
+    columns: at most the fewest whole sampling passes that hold
+    ``ROW_TASK_MATRICES`` matrices per task (one pass up to ``n = 90``)."""
     step = sample_chunk_size(n)
-    step *= -(-ROW_TASK_MATRICES // step)
-    for block in range(0, replications, BLOCK_REPLICATIONS):
-        stop = min(block + BLOCK_REPLICATIONS, replications)
-        for start in range(block, stop, step):
-            yield n, master_seed, start, min(start + step, stop), columns
+    return n, master_seed, replications, step * -(-ROW_TASK_MATRICES // step), columns
 
 
-def _row_task_count(n: int, replications: int) -> int:
-    """Number of tasks :func:`_row_tasks` yields."""
-    return sum(1 for _ in _row_tasks(n, 0, replications))
+def _tasks(studies) -> Iterator[tuple]:
+    """Tasks ``(n, root, start, stop, arg)`` over matrices ``0..count-1``
+    of every ``(n, root, count, most, arg)`` study in turn: each block of
+    :data:`BLOCK_REPLICATIONS` matrices split into the fewest tasks of at
+    most ``most`` matrices, whose sizes differ by at most one."""
+    for n, root, count, most, arg in studies:
+        for block in range(0, count, BLOCK_REPLICATIONS):
+            size = min(BLOCK_REPLICATIONS, count - block)
+            parts = -(-size // most)
+            for k in range(parts):
+                yield n, root, block - (-k * size // parts), block - (-(k + 1) * size // parts), arg
+
+
+def _task_count(studies) -> int:
+    """Number of tasks :func:`_tasks` yields for ``studies``, in closed form."""
+    block = BLOCK_REPLICATIONS
+    return sum(c // block * -(-block // m) + -(-(c % block) // m) for _, _, c, m, _ in studies)
 
 
 @dataclass
@@ -361,23 +369,12 @@ def _task_pool(workers: int, tasks: int):
         yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)
 
 
-def _row_stream(run, studies, columns: int = len(STAT_KEYS)) -> Iterator[np.ndarray]:
-    """One in-order result stream of the row tasks of every
-    ``(n, replications, master_seed)`` study in turn, mapped by ``run``
-    (see :func:`_task_pool`), so the pool works on the next study while
-    the parent consumes this one's rows."""
-    tasks = (
-        task for n, reps, seed in studies for task in _row_tasks(n, seed, reps, columns)
-    )
-    return run(_replicate_rows, tasks)
-
-
 def _moments(
     results: Iterator[np.ndarray], replications: int, columns: int
 ) -> tuple[_RowMoments, int]:
     """Moments of the first ``columns`` columns of the next ``replications``
-    rows of a :func:`_row_stream`, and the greedy violations among them (0
-    unless the greedy column is held).
+    rows of ``results``, :func:`_replicate_rows` over row :func:`_tasks`,
+    and the greedy violations among them (0 unless the greedy column is held).
 
     It takes exactly one study's row tasks from the stream, since they
     never cross a block, and pushes the rows in replication order into
@@ -398,7 +395,7 @@ def _moments(
 
 
 def _estimate(n: int, replications: int, master_seed: int, results) -> EstimateReport:
-    """:func:`estimate`, from the next rows of a :func:`_row_stream`."""
+    """:func:`estimate`, from the next rows of ``results`` (see :func:`_moments`)."""
     logger.info("estimate: n=%d replications=%d", n, replications)
     moments, greedy_violations = _moments(results, replications, len(STAT_KEYS))
     summaries = moments.summaries()
@@ -424,15 +421,15 @@ def estimate(
     """Replicated moment estimates for the extremes at size ``n``.
 
     Replication ``k`` uses ``derive_seed(master_seed, k)``.  Workers
-    compute the rows of :func:`_row_tasks`; the parent pushes them in
+    compute the rows of row :func:`_tasks`; the parent pushes them in
     replication order into fixed blocks of :data:`BLOCK_REPLICATIONS`
     merged in block order, so the report does not depend on ``workers``.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    study = (n, replications, master_seed)
-    with _task_pool(workers, _row_task_count(n, replications)) as run:
-        return _estimate(*study, _row_stream(run, [study]))
+    study = [_row_study(n, master_seed, replications)]
+    with _task_pool(workers, _task_count(study)) as run:
+        return _estimate(n, replications, master_seed, run(_replicate_rows, _tasks(study)))
 
 
 def ratio_table(
@@ -449,8 +446,7 @@ def ratio_table(
         raise ValueError("ratio table sizes must be at least 2")
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    studies = [(n, replications, derive_seed(master_seed, n)) for n in n_list]
-    tasks = sum(_row_task_count(n, replications) for n in n_list)
-    with _task_pool(workers, tasks) as run:
-        results = _row_stream(run, studies)
-        return [_estimate(*study, results) for study in studies]
+    studies = [_row_study(n, derive_seed(master_seed, n), replications) for n in n_list]
+    with _task_pool(workers, _task_count(studies)) as run:
+        results = run(_replicate_rows, _tasks(studies))
+        return [_estimate(n, replications, seed, results) for n, seed, *_ in studies]

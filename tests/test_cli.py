@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graf import cli, montecarlo, serialize
+from graf import cli, enumerator, montecarlo, serialize
 from graf.cli import _subcommands, build_parser, main, parse_args
 from graf.combinatorics import ball_size
 from graf.enumerator import enumerate_field
@@ -157,6 +157,26 @@ _LIST_FLAGS = [
     (["verify", "--delta", "0.3"], "n", "3,3"),
     (["verify", "--n", "3"], "delta", "0.5,0.5"),
 ]
+
+
+class TestNearmaxCountLimit:
+    """A nearmax run holds one count per matrix and counting variant, at
+    most ``enumerator._COUNTS_MAX``; more is a usage error naming --reps."""
+
+    BASE = ["nearmax", "--n", "3", "--eps", "0.2,0.4", "--seed", "5", "--m-reps", "300",
+            "--sensitivity", "--workers", "2"]
+
+    def test_over_the_limit_is_usage_error(self, fake_pool, monkeypatch, tmp_path, capsys):
+        # 10 matrices of 6 variants (2 epsilons, 3 mean shifts) are the limit.
+        monkeypatch.setattr(enumerator, "_COUNTS_MAX", 60)
+        out = tmp_path / "nearmax.csv"
+        assert main(self.BASE + ["--reps", "11", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "graf: error: argument --reps: 11 matrices times 6 variants exceed 60 counts\n"
+        assert not out.exists()
+        assert fake_pool.sizes == [] and fake_pool.peak == 0
+        assert main(self.BASE + ["--reps", "10", "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 6
 
 
 class TestRepeatedListValues:
@@ -1216,7 +1236,7 @@ def _dying_task(task):
 
 
 class TestWorkerFailure:
-    # ratio-table at n = 100 with 20 replications is 4 row tasks of 6 or fewer.
+    # ratio-table at n = 100 with 20 replications is 2 row tasks of 10.
     FLAGS = ["ratio-table", "--n-list", "100", "--reps", "20", "--seed", "1", "--workers", "2"]
 
     def test_broken_pool_is_one_line_error(self, monkeypatch, capsys):

@@ -239,10 +239,10 @@ class TestSizesAbove:
             # tables, so only later ones count.
             "tasks": [
                 "size = enumerator.COUNT_TASK_ASSIGNMENTS // 362880",
-                "enumerator._count_matrices((9, 3, thresholds, 0, size))",
+                "enumerator._count_matrices((9, 3, 0, size, thresholds))",
                 "before = faults()",
                 "for k in range(1, 4):",
-                "    enumerator._count_matrices((9, 3, thresholds, k * size, (k + 1) * size))",
+                "    enumerator._count_matrices((9, 3, k * size, (k + 1) * size, thresholds))",
                 "per_matrix = (faults() - before) / (3 * size)",
                 "sys.exit(f'{per_matrix:.1f} faults per matrix' if per_matrix >= 100 else 0)",
             ],
@@ -329,14 +329,21 @@ class TestMeanCorrelationExhaustive:
         assert mean_correlation_exhaustive(7) == Fraction(1, 7)
 
 
+def count_tasks(n: int, replications: int, master_seed: int = 7) -> list[tuple]:
+    """The counting tasks of one size."""
+    return list(montecarlo._tasks([enumerator._count_study(n, master_seed, replications)]))
+
+
 class TestCountTasks:
     @pytest.mark.parametrize("reps", [2, 23, 99, 100, 1000])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_equal_to_within_one_matrix(self, n, reps):
-        tasks = list(enumerator._count_tasks(n, reps, 7, None))
+        # Every count here fits one block of matrices.
+        tasks = count_tasks(n, reps)
         per_task = enumerator.COUNT_TASK_ASSIGNMENTS // math.factorial(n)
         assert len(tasks) == -(-reps // per_task)
-        starts, stops = [t[3] for t in tasks], [t[4] for t in tasks]
+        assert {(t[0], t[1], t[4]) for t in tasks} == {(n, derive_seed(7, n, 1), None)}
+        starts, stops = [t[2] for t in tasks], [t[3] for t in tasks]
         assert starts == [0, *stops[:-1]] and stops[-1] == reps
         lengths = [stop - start for start, stop in zip(starts, stops)]
         assert max(lengths) - min(lengths) <= 1
@@ -344,8 +351,14 @@ class TestCountTasks:
     def test_benchmark_shape(self):
         # 100 matrices: at most 99 per task at n = 8, at most 11 at n = 9.
         for n, expected in [(8, [50, 50]), (9, [10] * 10)]:
-            tasks = enumerator._count_tasks(n, 100, 0, None)
-            assert [stop - start for *_, start, stop in tasks] == expected
+            assert [stop - start for _, _, start, stop, _ in count_tasks(n, 100)] == expected
+
+    def test_no_task_crosses_a_block(self):
+        # At n <= 6 a whole block of 4096 matrices is one task, under the
+        # 666,666 matrices COUNT_TASK_ASSIGNMENTS allows at n = 3.
+        for n in (2, 3, 6):
+            tasks = count_tasks(n, 5000)
+            assert [stop - start for _, _, start, stop, _ in tasks] == [4096, 904]
 
 
 class TestDimensionStudy:
@@ -392,9 +405,8 @@ class TestDimensionStudy:
     def test_worker_invariance_at_nine(self, monkeypatch):
         # 23 matrices make counting tasks of 8, 8 and 7.
         assume_cores(monkeypatch, 2)
-        tasks = enumerator._count_tasks(9, 23, 41, None)
-        assert [stop - start for *_, start, stop in tasks] == [8, 8, 7]
         args = ([9], [0.1, 0.3], 23, 41)
+        assert [stop - start for _, _, start, stop, _ in count_tasks(9, 23)] == [8, 8, 7]
         serial = nearmax_table(*args, m_reps=300, sensitivity=True, workers=1)
         assert nearmax_table(*args, m_reps=300, sensitivity=True, workers=2) == serial
 
@@ -404,7 +416,8 @@ class TestDimensionStudy:
         # replications are 1, 3 and 2 row tasks at n = 3, 9 and 6.
         assume_cores(monkeypatch, 2)
         sizes, m_reps, seed = [3, 9, 6], 2000, 29
-        assert [montecarlo._row_task_count(n, m_reps) for n in sizes] == [1, 3, 2]
+        studies = [montecarlo._row_study(n, 0, m_reps, 1) for n in sizes]
+        assert [montecarlo._task_count([study]) for study in studies] == [1, 3, 2]
         rows = nearmax_table(sizes, [0.2], 12, seed, m_reps=m_reps, workers=workers)
         for row, n in zip(rows, sizes):
             expected = estimate(n, m_reps, derive_seed(seed, n, 0)).max_value
@@ -415,6 +428,24 @@ class TestDimensionStudy:
         rows = nearmax_table([3, 4], [0.2], 60, 5, m_reps=400, workers=2)
         assert fake_pool.sizes == [2]
         assert rows == nearmax_table([3, 4], [0.2], 60, 5, m_reps=400, workers=1)
+
+    @pytest.mark.parametrize("sensitivity", [False, True])
+    def test_count_cap(self, fake_pool, monkeypatch, sensitivity):
+        # 12 matrices of 2 epsilons, with 3 mean shifts each under
+        # sensitivity, hold exactly the cap of counts; one matrix more is
+        # rejected before a pool starts or a task is submitted.  Counting
+        # tasks of 2 matrices give the pool work to share.
+        variants = 6 if sensitivity else 2
+        monkeypatch.setattr(enumerator, "_COUNTS_MAX", 12 * variants)
+        monkeypatch.setattr(enumerator, "COUNT_TASK_ASSIGNMENTS", 12)
+        kwargs = dict(m_reps=300, sensitivity=sensitivity, workers=2)
+        rows = nearmax_table([3], [0.2, 0.4], 12, 5, **kwargs)
+        assert fake_pool.sizes == [2] and len(rows) == variants
+        fake_pool.sizes.clear()
+        fake_pool.peak = 0
+        with pytest.raises(ValueError, match=f"13 matrices times {variants} variants"):
+            nearmax_table([3], [0.2, 0.4], 13, 5, **kwargs)
+        assert fake_pool.sizes == [] and fake_pool.peak == 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,13 @@ CLI_CASES = {
         ["nearmax", "--config", "{config}"],
         "cd7dd093584c4729712af23d2c72cc1d807402b8951fb1961c451b0bcd9dea42",
     ),
+    # 5000 matrices cross a block of 4096, so each size's counting is two
+    # tasks (many more in the pooled run).
+    "nearmax-blocks": (
+        ["nearmax", "--n", "3,5", "--eps", "0.2,0.4", "--reps", "5000", "--m-reps", "100",
+         "--seed", "4", "--sensitivity"],
+        "f8aad59522f23ff1e421e1a61e66cd1a202b7ece6b3f0bfa2944045dbb9eede4",
+    ),
     "enumerate": (
         ["enumerate", "--input", "{matrix}"],
         "ecf5b9aa8aabdecbe0611619007a602bcb00f1cc3044e359f70bd91fd97032e4",
@@ -129,7 +136,9 @@ def test_cli_document_digest(name, tmp_path, capsys):
     assert _sha256(_run_case(tmp_path, argv)) == digest
 
 
-@pytest.mark.parametrize("name", ["ratio-table", "ratio-table-large", "nearmax-config"])
+@pytest.mark.parametrize(
+    "name", ["ratio-table", "ratio-table-large", "nearmax-config", "nearmax-blocks"]
+)
 def test_pooled_document_digest(name, tmp_path, capsys, monkeypatch):
     # Small row and counting tasks, so two workers share the m-pass, the
     # counting and every size.

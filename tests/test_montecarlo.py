@@ -1,5 +1,7 @@
 import copy
+import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -524,46 +526,75 @@ class TestEstimate:
         assert report == estimate(3, 30, 8, workers=1)
 
 
-def parent_row_task_count(n: int, replications: int) -> int:
-    """Row tasks of one sampling pass each, never crossing a block."""
-    blocks = range(0, replications, montecarlo.BLOCK_REPLICATIONS)
-    step = sample_chunk_size(n)
-    return sum(
-        -(-min(montecarlo.BLOCK_REPLICATIONS, replications - block) // step)
-        for block in blocks
+def row_tasks(n: int, replications: int, columns: int = len(STAT_KEYS)) -> list[tuple]:
+    """The row tasks of one study at size ``n``."""
+    return list(montecarlo._tasks([montecarlo._row_study(n, 5, replications, columns)]))
+
+
+class TestTasks:
+    """One rule cuts the pool tasks of row studies and of near-max counting."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3 * montecarlo.BLOCK_REPLICATIONS),
+                st.integers(1, montecarlo.BLOCK_REPLICATIONS + 1),
+            ),
+            min_size=1,
+            max_size=3,
+        )
     )
+    def test_equal_tasks_within_each_block(self, shapes):
+        block_size = montecarlo.BLOCK_REPLICATIONS
+        studies = [(k + 2, 7 * k, count, most, f"arg{k}") for k, (count, most) in enumerate(shapes)]
+        tasks = list(montecarlo._tasks(studies))
+        assert montecarlo._task_count(studies) == len(tasks)
+        for n, root, count, most, arg in studies:
+            mine = [task for task in tasks if task[0] == n]
+            # Each study's tasks are contiguous in the stream, in turn.
+            assert tasks[: len(mine)] == mine
+            tasks = tasks[len(mine) :]
+            assert {(t[1], t[4]) for t in mine} == {(root, arg)}
+            starts, stops = [t[2] for t in mine], [t[3] for t in mine]
+            assert starts == [0, *stops[:-1]] and stops[-1] == count
+            for block in range(0, count, block_size):
+                size = min(block_size, count - block)
+                lengths = [b - a for a, b in zip(starts, stops) if block <= a < block + size]
+                # None crosses the block, the fewest of at most `most` each.
+                assert sum(lengths) == size
+                assert len(lengths) == -(-size // most)
+                assert max(lengths) <= most and max(lengths) - min(lengths) <= 1
+                assert montecarlo._task_count([(n, root, size, most, arg)]) == len(lengths)
 
 
 class TestRowTasks:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 300), st.integers(1, 3 * montecarlo.BLOCK_REPLICATIONS))
     def test_whole_passes_of_at_least_the_least_matrices(self, n, reps):
-        tasks = list(montecarlo._row_tasks(n, 5, reps, 3))
-        assert [t[0] for t in tasks] == [n] * len(tasks)
-        assert {(t[1], t[4]) for t in tasks} == {(5, 3)}
-        starts = [t[2] for t in tasks]
-        stops = [t[3] for t in tasks]
-        assert starts == [0, *stops[:-1]] and stops[-1] == reps
-        assert len(tasks) == montecarlo._row_task_count(n, reps)
+        # A row task holds at most the fewest whole sampling passes that
+        # hold 8 matrices; up to n = 90 that is one pass, so a block of s
+        # rows makes ceil(s / pass) tasks.
         step, block_size = sample_chunk_size(n), montecarlo.BLOCK_REPLICATIONS
-        for start, stop in zip(starts, stops):
-            block = start // block_size * block_size
-            block_stop = min(block + block_size, reps)
-            assert stop <= block_stop
-            assert (start - block) % step == 0
-            assert (stop - block) % step == 0 or stop == block_stop
-            if stop < block_stop:
-                # Enough matrices, and one pass fewer would not be.
-                assert stop - start >= montecarlo.ROW_TASK_MATRICES > stop - start - step
+        study = montecarlo._row_study(n, 5, reps, 3)
+        assert study[:3] == (n, 5, reps) and study[4] == 3
+        most = study[3]
+        assert most % step == 0
+        assert most >= montecarlo.ROW_TASK_MATRICES > most - step
         if n <= 90:
-            assert len(tasks) == parent_row_task_count(n, reps)
+            blocks = range(0, reps, block_size)
+            one_pass_each = sum(-(-min(block_size, reps - b) // step) for b in blocks)
+            assert montecarlo._task_count([study]) == one_pass_each
 
     @pytest.mark.parametrize(
         "n, reps, count",
         [(10, 32768, 56), (8, 4096, 4), (9, 4096, 6), (100, 512, 43), (200, 512, 64)],
     )
     def test_task_counts(self, n, reps, count):
-        assert montecarlo._row_task_count(n, reps) == count
+        # estimate-small; nearmax-enum's m-pass (one column); ratio-large.
+        for columns in (1, len(STAT_KEYS)):
+            assert len(row_tasks(n, reps, columns)) == count
+            assert montecarlo._task_count([montecarlo._row_study(n, 5, reps, columns)]) == count
 
 
 class TestRatioTable:
@@ -580,7 +611,7 @@ class TestRatioTable:
         # size that took another size's rows would change its row.
         assume_cores(monkeypatch, 2)
         sizes, reps, seed = [5, 40, 12], 600, 13
-        assert [montecarlo._row_task_count(n, reps) for n in sizes] == [1, 15, 2]
+        assert [len(row_tasks(n, reps)) for n in sizes] == [1, 15, 2]
         rows = ratio_table(sizes, reps, seed, workers=workers)
         assert rows == [estimate(n, reps, derive_seed(seed, n)) for n in sizes]
 
@@ -588,7 +619,7 @@ class TestRatioTable:
     def test_multi_pass_tasks_at_both_worker_counts(self, seed, monkeypatch):
         # Row tasks at n = 95 and 120 hold two sampling passes.
         assume_cores(monkeypatch, 2)
-        assert [montecarlo._row_task_count(n, 40) for n in (95, 120)] == [3, 5]
+        assert [len(row_tasks(n, 40)) for n in (95, 120)] == [3, 5]
         rows = ratio_table([95, 120], 40, seed, workers=2)
         assert rows == ratio_table([95, 120], 40, seed, workers=1)
 
@@ -649,12 +680,65 @@ class TestMaxSummary:
         # 4097 and 8197 leave a one- and a five-row last block.
         assume_cores(monkeypatch, 2)
         n, seed = 8, derive_seed(23, 8, 0)
-        study = (n, reps, seed)
-        with montecarlo._task_pool(workers, montecarlo._row_task_count(n, reps)) as run:
-            results = montecarlo._row_stream(run, [study], 1)
+        max_only = [montecarlo._row_study(n, seed, reps, 1)]
+        full = [montecarlo._row_study(n, seed, reps)]
+        with montecarlo._task_pool(workers, montecarlo._task_count(max_only)) as run:
+            results = run(montecarlo._replicate_rows, montecarlo._tasks(max_only))
             summary = montecarlo._moments(results, reps, 1)[0].summaries()["max_value"]
-            expected = montecarlo._estimate(*study, montecarlo._row_stream(run, [study]))
-            expected = expected.max_value
+            results = run(montecarlo._replicate_rows, montecarlo._tasks(full))
+            expected = montecarlo._estimate(n, reps, seed, results).max_value
         assert summary.mean == expected.mean
         assert summary.mean_std_error == expected.mean_std_error
         assert summary == expected
+
+
+def exponential_targets(n: int) -> dict[tuple[str, str], float]:
+    """Exact moments, in kernel units, of the kernel's columns on Exp(1)
+    costs: (statistic, "mean" or "variance") -> value."""
+    inv_squares = [1.0 / k**2 for k in range(1, n + 1)]
+    harmonic = itertools.accumulate(1.0 / k for k in range(1, n + 1))
+    return {
+        ("min_value", "mean"): math.fsum(inv_squares) / math.sqrt(n),
+        ("greedy_value", "mean"): math.fsum(harmonic) / math.sqrt(n),
+        ("greedy_value", "variance"): math.fsum(itertools.accumulate(inv_squares)) / n,
+        ("field_mean", "mean"): math.sqrt(n),
+        ("field_mean", "variance"): 1.0 / n,
+    }
+
+
+class TestExponentialOracle:
+    """On Exp(1) costs the minimum, greedy and field-mean columns have exact
+    laws at any n; the gate (notes/decisions.md, "An exact oracle for the
+    kernel at any n") is |z| <= 4 per statistic at fixed seeds and sizes."""
+
+    SEED = 7
+
+    @pytest.fixture
+    def exponential_costs(self, monkeypatch):
+        """The sampler draws -log(u), an Exp(1) cost, where it draws ndtri(u)."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the swapped ndtri only when forked")
+
+        def ndtri(u, out=None):
+            return np.negative(np.log(u, out=out), out=out)
+
+        monkeypatch.setattr(_scipy, "ndtri", lambda: ndtri)
+        assume_cores(monkeypatch, 2)
+
+    @pytest.mark.parametrize("n, reps", [(10, 20000), (39, 4000), (40, 4000), (100, 2000)])
+    def test_exact_moments(self, exponential_costs, n, reps):
+        # 39 and 40 lie on both sides of REDUCED_COST_N_MIN.
+        report = estimate(n, reps, self.SEED, workers=2)
+        assert report.greedy_violations == 0
+        for (key, moment), target in exponential_targets(n).items():
+            summary = getattr(report, key)
+            if moment == "mean":
+                z = (summary.mean - target) / summary.mean_std_error
+            else:
+                z = (summary.variance - target) / summary.variance_std_error
+            assert abs(z) <= 4.0, (key, moment, z)
+
+    def test_worker_invariance(self, exponential_costs):
+        assert estimate(10, 20000, self.SEED, workers=1) == estimate(
+            10, 20000, self.SEED, workers=2
+        )
