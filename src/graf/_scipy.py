@@ -86,10 +86,10 @@ def quad(func, a: float, b: float, *, epsabs, epsrel, limit, points):
     """``(value, abserr)`` of ``scipy.integrate.quad`` over finite
     ``a < b`` with break ``points``: the same call to :func:`qagpe`.  A
     nonzero ``ier`` raises ArithmeticError, where ``quad`` warns."""
-    inner = np.unique(points)
-    inner = inner[(a < inner) & (inner < b)]
+    # Sorted and deduplicated in Python: np.unique would import numpy.ma.
+    inner = sorted({float(p) for p in points if a < p < b})
     value, abserr, ier = qagpe()(
-        func, a, b, np.concatenate((inner, (0.0, 0.0))), (), 0, epsabs, epsrel, limit
+        func, a, b, np.array(inner + [0.0, 0.0]), (), 0, epsabs, epsrel, limit
     )
     if ier:
         raise ArithmeticError(f"QUADPACK qagpe stopped with ier={ier}")

@@ -31,6 +31,7 @@ from graf.combinatorics import EXACT_N_MAX, ball_size, ball_size_upper_bound, re
 from graf.enumerator import (
     ENUM_N_MAX,
     HISTOGRAM_N_MAX,
+    _MEAN_CORRELATION_N_MAX,
     _count_variants,
     ball_counts_exact,
     correlation_histogram_exact,
@@ -259,8 +260,8 @@ def _modules(*names: str):
     return lambda: [importlib.import_module(name) for name in names]
 
 
-# graf.bounds' quadrature imports numpy.ma and scipy._lib._ccallback on first use.
-_BOUNDS = _modules("graf.bounds", "numpy.ma", "scipy._lib._ccallback")
+# graf.bounds' quadrature imports scipy._lib._ccallback on first use.
+_BOUNDS = _modules("graf.bounds", "scipy._lib._ccallback")
 _POOL = _modules("concurrent.futures.process")
 
 
@@ -535,7 +536,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
             abs(brute.raw_sum - exact.raw_sum) <= 1e-9,
             f"brute={fmt(brute.raw_sum)} exact={fmt(exact.raw_sum)}",
         )
-        if n <= 7:
+        if n <= _MEAN_CORRELATION_N_MAX:
             check(
                 f"mean correlation n={n}",
                 mean_correlation_exhaustive(n) == Fraction(1, n),

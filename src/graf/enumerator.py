@@ -19,16 +19,7 @@ import numpy as np
 from graf._permutations import perm_table, raw_sum_blocks
 from graf.combinatorics import in_correlation_ball
 from graf.field import CostMatrix, _assignment, sample_cost_entries
-from graf.montecarlo import (
-    _child_seeds,
-    _moments,
-    _replicate_rows,
-    _row_study,
-    _task_count,
-    _task_pool,
-    _tasks,
-    derive_seed,
-)
+from graf.montecarlo import _moments, _row_study, _task_pool, derive_seed, replicate_block
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +33,8 @@ HISTOGRAM_N_MAX = 8
 #: block of a size's matrices equally, to within one: 100 matrices make
 #: tasks of 50 and 50 at n = 8 and ten of 10 at n = 9 (at most 11).
 COUNT_TASK_ASSIGNMENTS = 4_000_000
+#: Exhaustive pair average cap: 7!**2 ordered pairs.
+_MEAN_CORRELATION_N_MAX = 7
 #: Most near-max counts (matrices times counting variants) a
 #: :func:`nearmax_table` call may hold; ``notes/decisions.md``, "One task rule".
 _COUNTS_MAX = 1 << 25
@@ -102,22 +95,21 @@ def _sizes_above(entries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(kept > t) for t in thresholds], dtype=np.int64)
 
 
-def _count_matrices(task: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
-    """Near-max set sizes of matrices ``start..stop-1`` under seed
-    ``root``, one row per matrix and one column per threshold.
+def _count_matrices(n: int, seeds: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Near-max set sizes of the matrices drawn from ``seeds``, one row per
+    matrix and one column per threshold.
 
     Each matrix is one walk of :func:`raw_sum_blocks`, which owns its sums
     buffer, so nothing is shared between matrices, tasks or threads.
     """
-    n, root, start, stop, thresholds = task
-    entries = sample_cost_entries(n, _child_seeds(root, start, stop))
-    return np.array([_sizes_above(c, thresholds) for c in entries])
+    return np.array([_sizes_above(c, thresholds) for c in sample_cost_entries(n, seeds)])
 
 
 def _count_study(n: int, master_seed: int, replications: int) -> tuple:
-    """The :func:`~graf.montecarlo._tasks` study of ``replications`` matrices
-    counted at size ``n``, at most ``COUNT_TASK_ASSIGNMENTS`` assignments (at
-    least one matrix) a task; thresholds replace ``None`` after the m-pass."""
+    """The :func:`~graf.montecarlo._task_pool` study of ``replications``
+    matrices counted at size ``n``, at most ``COUNT_TASK_ASSIGNMENTS``
+    assignments (at least one matrix) a task; thresholds replace ``None``
+    after the m-pass."""
     most = max(1, COUNT_TASK_ASSIGNMENTS // math.factorial(n))
     return n, derive_seed(master_seed, n, 1), replications, most, None
 
@@ -216,14 +208,14 @@ def nearmax_table(
     standard error equal :func:`~graf.montecarlo.estimate`'s ``max_value``
     bit for bit.  Then ``replications`` matrices drawn under seed path
     ``(n, 1, k)`` are enumerated, in tasks of at most
-    :data:`COUNT_TASK_ASSIGNMENTS` assignments (see
-    :func:`~graf.montecarlo._tasks`); every epsilon is counted on the same
-    matrices, at most ``_COUNTS_MAX`` counts in all.  With ``sensitivity``
-    enabled, extra rows re-count the sets with the plug-in mean shifted by
-    +-2 standard errors.  One worker pool runs every size's m-pass as one
-    task stream, then every size's counting as another, so it drains
-    twice per call, and it is sized by the longer stream.  The counts are
-    integers, so the table does not depend on ``workers``.
+    :data:`COUNT_TASK_ASSIGNMENTS` assignments (see :func:`_count_study`);
+    every epsilon is counted on the same matrices, at most ``_COUNTS_MAX``
+    counts in all.  With ``sensitivity`` enabled, extra rows re-count the
+    sets with the plug-in mean shifted by +-2 standard errors.  One worker
+    pool runs every size's m-pass as one task stream, then every size's
+    counting as another, so it drains twice per call, and it is sized by
+    the longer stream.  The counts are integers, so the table does not
+    depend on ``workers``.
 
     The paper's bound on the dimension is asymptotic with unspecified
     constants and goes to zero only as epsilon does; at a fixed epsilon
@@ -243,20 +235,20 @@ def nearmax_table(
     m_studies = [_row_study(n, derive_seed(master_seed, n, 0), m_reps, 1) for n in n_list]
     count_studies = [_count_study(n, master_seed, replications) for n in n_list]
     rows: list[DimensionSummary] = []
-    with _task_pool(workers, max(_task_count(m_studies), _task_count(count_studies))) as run:
+    with _task_pool(workers, m_studies, count_studies) as run:
         # Each phase is one stream over every size, so the pool drains
         # once per phase, not once per size.
-        results = run(_replicate_rows, _tasks(m_studies))
-        m_passes = [_moments(results, m_reps, 1)[0].summaries()["max_value"] for _ in n_list]
+        m_blocks = run(replicate_block, m_studies)
+        m_passes = [_moments(blocks, 1)[0].summaries()["max_value"] for blocks in m_blocks]
         eps_v, shift_v = np.array(variants).T
         count_studies = [
             (*study[:4], (1.0 - eps_v) * (m.mean + shift_v * m.mean_std_error) * math.sqrt(n))
             for n, study, m in zip(n_list, count_studies, m_passes)
         ]
-        counts = run(_count_matrices, _tasks(count_studies))
-        for n, study, m_pass in zip(n_list, count_studies, m_passes):
+        counts = run(_count_matrices, count_studies)
+        for n, m_pass, blocks in zip(n_list, m_passes, counts):
             m_hat, m_se = m_pass.mean, m_pass.mean_std_error
-            sizes = np.concatenate([next(counts) for _ in range(_task_count([study]))])
+            sizes = np.concatenate([rows for block in blocks for rows in block])
             log_nfact = math.lgamma(n + 1)
             for v, (eps, shift) in enumerate(variants):
                 # math.log once per distinct size (np.log can differ in the last
@@ -331,10 +323,10 @@ def mean_correlation_exhaustive(n: int) -> Fraction:
     """Average correlation over all ordered permutation pairs, exactly.
 
     Exhaustive ``n!**2`` computation (chunked); the result is the rational
-    ``1/n``.  Capped at ``n=7``.
+    ``1/n``.  Capped at ``n = _MEAN_CORRELATION_N_MAX``.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("exhaustive pair average is capped at n=7")
+    if not 1 <= n <= _MEAN_CORRELATION_N_MAX:
+        raise ValueError(f"exhaustive pair average is capped at n={_MEAN_CORRELATION_N_MAX}")
     table = perm_table(n).astype(np.int16)
     total_agreements = 0
     chunk = max(1, 2_000_000 // max(1, table.shape[0]))

@@ -181,12 +181,6 @@ def replicate_block(
     return rows
 
 
-def _replicate_rows(task: tuple[int, int, int, int, int]) -> np.ndarray:
-    """Rows of :func:`replicate_block` for replications ``start..stop-1``."""
-    n, master_seed, start, stop, columns = task
-    return replicate_block(n, _child_seeds(master_seed, start, stop), columns)
-
-
 #: Row tasks hold at most the fewest whole sampling passes that reach
 #: this many matrices.  A task costs the parent about 0.6 ms of CPU to
 #: submit and consume, and one matrix at n = 200 takes a worker 3-4 ms.
@@ -194,28 +188,28 @@ ROW_TASK_MATRICES = 8
 
 
 def _row_study(n: int, master_seed: int, replications: int, columns: int = len(STAT_KEYS)) -> tuple:
-    """The :func:`_tasks` study of ``replications`` rows of ``columns``
+    """The :func:`_task_pool` study of ``replications`` rows of ``columns``
     columns: at most the fewest whole sampling passes that hold
     ``ROW_TASK_MATRICES`` matrices per task (one pass up to ``n = 90``)."""
     step = sample_chunk_size(n)
     return n, master_seed, replications, step * -(-ROW_TASK_MATRICES // step), columns
 
 
-def _tasks(studies) -> Iterator[tuple]:
+def _block_tasks(study: tuple) -> Iterator[list[tuple]]:
     """Tasks ``(n, root, start, stop, arg)`` over matrices ``0..count-1``
-    of every ``(n, root, count, most, arg)`` study in turn: each block of
-    :data:`BLOCK_REPLICATIONS` matrices split into the fewest tasks of at
-    most ``most`` matrices, whose sizes differ by at most one."""
-    for n, root, count, most, arg in studies:
-        for block in range(0, count, BLOCK_REPLICATIONS):
-            size = min(BLOCK_REPLICATIONS, count - block)
-            parts = -(-size // most)
-            for k in range(parts):
-                yield n, root, block - (-k * size // parts), block - (-(k + 1) * size // parts), arg
+    of an ``(n, root, count, most, arg)`` study, one list per block of
+    :data:`BLOCK_REPLICATIONS` matrices: the fewest tasks of at most
+    ``most`` matrices, whose sizes differ by at most one."""
+    n, root, count, most, arg = study
+    for block in range(0, count, BLOCK_REPLICATIONS):
+        size = min(BLOCK_REPLICATIONS, count - block)
+        parts = -(-size // most)
+        cuts = [block - (-k * size // parts) for k in range(parts + 1)]
+        yield [(n, root, start, stop, arg) for start, stop in zip(cuts, cuts[1:])]
 
 
 def _task_count(studies) -> int:
-    """Number of tasks :func:`_tasks` yields for ``studies``, in closed form."""
+    """Number of tasks :func:`_block_tasks` cuts from ``studies``, in closed form."""
     block = BLOCK_REPLICATIONS
     return sum(c // block * -(-block // m) + -(-(c % block) // m) for _, _, c, m, _ in studies)
 
@@ -342,14 +336,32 @@ def _windowed_map(pool: ProcessPoolExecutor, window: int, fn, tasks) -> Iterator
         yield from pending.popleft()
 
 
+def _run_task(fn, task: tuple):
+    """``fn(n, seeds, arg)`` of one task, its seeds derived where it runs."""
+    n, root, start, stop, arg = task
+    return fn(n, _child_seeds(root, start, stop), arg)
+
+
+def _run(mapper, fn, studies: list[tuple]) -> Iterator[Iterator[list]]:
+    """For each study in turn, an iterator over its blocks, each the list
+    of ``fn``'s results on that block's tasks, which ``mapper`` maps in
+    task order.  Each study's blocks are to be read before the next study."""
+    tasks = (task for study in studies for block in _block_tasks(study) for task in block)
+    results = mapper(partial(_run_task, fn), tasks)
+    for study in studies:
+        yield ([next(results) for _ in block] for block in _block_tasks(study))
+
+
 @contextmanager
-def _task_pool(workers: int, tasks: int):
-    """Yield ``run(fn, tasks)``, which maps ``fn`` over ``tasks`` and yields
-    the results in task order.
+def _task_pool(workers: int, *phases: list[tuple]):
+    """Yield ``run(fn, studies)``, which calls ``fn(n, seeds, arg)`` on every
+    task of ``studies`` and yields each study's results grouped by block
+    (see :func:`_run`).
 
     ``run`` is backed by a process pool of ``min(workers, cores, tasks)``
-    processes, or runs in this process when that is 1.  One pool serves
-    every ``run`` call inside the ``with`` block.
+    processes, where ``tasks`` counts the tasks of the longest of the
+    ``phases`` (lists of studies), or runs in this process when that is 1.
+    One pool serves every ``run`` call inside the ``with`` block.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -357,35 +369,31 @@ def _task_pool(workers: int, tasks: int):
     # cannot help, and the pool starts all of them at the first submit.
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(workers, cores, tasks)
+    workers = min(workers, cores, max(map(_task_count, phases)))
     if workers <= 1:
-        yield map
+        yield partial(_run, map)
         return
     # multiprocessing loads with the first pool, not with this module.
     from concurrent.futures.process import ProcessPoolExecutor
 
     logger.info("task pool: %d workers", workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield partial(_windowed_map, pool, TASKS_PER_WORKER * workers)
+        yield partial(_run, partial(_windowed_map, pool, TASKS_PER_WORKER * workers))
 
 
-def _moments(
-    results: Iterator[np.ndarray], replications: int, columns: int
-) -> tuple[_RowMoments, int]:
-    """Moments of the first ``columns`` columns of the next ``replications``
-    rows of ``results``, :func:`_replicate_rows` over row :func:`_tasks`,
-    and the greedy violations among them (0 unless the greedy column is held).
+def _moments(blocks: Iterator[list[np.ndarray]], columns: int) -> tuple[_RowMoments, int]:
+    """Moments of the first ``columns`` columns of one row study's
+    ``blocks`` (see :func:`_run`), and the greedy violations among them (0
+    unless the greedy column is held).
 
-    It takes exactly one study's row tasks from the stream, since they
-    never cross a block, and pushes the rows in replication order into
-    fixed blocks of :data:`BLOCK_REPLICATIONS` merged in block order.
+    It pushes each block's rows in replication order into the block's own
+    moments and merges the blocks in block order.
     """
     moments = _RowMoments.of(columns)
     greedy_violations = 0
-    for block in range(0, replications, BLOCK_REPLICATIONS):
+    for block in blocks:
         block_moments = _RowMoments.of(columns)
-        while block_moments.count < min(BLOCK_REPLICATIONS, replications - block):
-            rows = next(results)
+        for rows in block:
             block_moments.push(rows)
             if columns > 2:
                 greedy_violations += int((rows[:, 2] > rows[:, 0]).sum())
@@ -394,25 +402,31 @@ def _moments(
     return moments, greedy_violations
 
 
-def _estimate(n: int, replications: int, master_seed: int, results) -> EstimateReport:
-    """:func:`estimate`, from the next rows of ``results`` (see :func:`_moments`)."""
-    logger.info("estimate: n=%d replications=%d", n, replications)
-    moments, greedy_violations = _moments(results, replications, len(STAT_KEYS))
-    summaries = moments.summaries()
-    scale = math.sqrt(2.0 * log_factorial(n))
-    max_summary = summaries["max_value"]
-    ratio = max_summary.mean / scale if scale > 0.0 else math.nan
-    ratio_se = max_summary.mean_std_error / scale if scale > 0.0 else math.nan
-    return EstimateReport(
-        n=n,
-        replications=replications,
-        master_seed=master_seed,
-        **summaries,
-        ratio=ratio,
-        ratio_std_error=ratio_se,
-        cov_field_mean_residual=moments.covariance,
-        greedy_violations=greedy_violations,
-    )
+def _estimates(studies: list[tuple], workers: int) -> list[EstimateReport]:
+    """One report per full-row study ``(n, master_seed, replications, ...)``,
+    every study's tasks on one pool."""
+    reports = []
+    with _task_pool(workers, studies) as run:
+        results = run(replicate_block, studies)
+        for (n, master_seed, replications, *_), blocks in zip(studies, results):
+            logger.info("estimate: n=%d replications=%d", n, replications)
+            moments, greedy_violations = _moments(blocks, len(STAT_KEYS))
+            summaries = moments.summaries()
+            scale = math.sqrt(2.0 * log_factorial(n))
+            max_summary = summaries["max_value"]
+            reports.append(
+                EstimateReport(
+                    n=n,
+                    replications=replications,
+                    master_seed=master_seed,
+                    **summaries,
+                    ratio=max_summary.mean / scale if scale > 0.0 else math.nan,
+                    ratio_std_error=max_summary.mean_std_error / scale if scale > 0.0 else math.nan,
+                    cov_field_mean_residual=moments.covariance,
+                    greedy_violations=greedy_violations,
+                )
+            )
+    return reports
 
 
 def estimate(
@@ -421,15 +435,13 @@ def estimate(
     """Replicated moment estimates for the extremes at size ``n``.
 
     Replication ``k`` uses ``derive_seed(master_seed, k)``.  Workers
-    compute the rows of row :func:`_tasks`; the parent pushes them in
+    compute the rows of the study's tasks; the parent pushes them in
     replication order into fixed blocks of :data:`BLOCK_REPLICATIONS`
     merged in block order, so the report does not depend on ``workers``.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    study = [_row_study(n, master_seed, replications)]
-    with _task_pool(workers, _task_count(study)) as run:
-        return _estimate(n, replications, master_seed, run(_replicate_rows, _tasks(study)))
+    return _estimates([_row_study(n, master_seed, replications)], workers)[0]
 
 
 def ratio_table(
@@ -440,13 +452,11 @@ def ratio_table(
 
     The estimate for size ``n`` runs under ``derive_seed(master_seed, n)``,
     so rows are independent of each other and of the list order.  One
-    worker pool runs every size's row tasks as one stream.
+    worker pool runs every size's tasks as one stream.
     """
     if any(n < 2 for n in n_list):
         raise ValueError("ratio table sizes must be at least 2")
     if replications < 2:
         raise ValueError("need at least 2 replications")
     studies = [_row_study(n, derive_seed(master_seed, n), replications) for n in n_list]
-    with _task_pool(workers, _task_count(studies)) as run:
-        results = run(_replicate_rows, _tasks(studies))
-        return [_estimate(n, replications, seed, results) for n, seed, *_ in studies]
+    return _estimates(studies, workers)

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from graf import _scipy
-from graf._permutations import raw_sum_blocks
+from graf._permutations import PERM_TABLE_N_MAX, raw_sum_blocks
 from graf.field import CostMatrix
-
-#: Exhaustive search walks n! assignments; 10! keeps it in the seconds range.
-BRUTE_FORCE_N_MAX = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +42,11 @@ def _result(entries: np.ndarray, columns: np.ndarray) -> SolveResult:
 def solve_max_bruteforce(c: CostMatrix) -> SolveResult:
     """Maximize the raw cost sum by exhaustive enumeration.
 
-    Ties resolve to the lexicographically smallest one-line notation.
+    Ties resolve to the lexicographically smallest one-line notation.  The
+    walk is the permutation table's, so it is capped where the table is.
     """
-    if c.n > BRUTE_FORCE_N_MAX:
-        raise ValueError(
-            f"brute force is capped at n={BRUTE_FORCE_N_MAX}; use solve_max_exact"
-        )
+    if c.n > PERM_TABLE_N_MAX:
+        raise ValueError(f"brute force is capped at n={PERM_TABLE_N_MAX}; use solve_max_exact")
     best = -math.inf
     best_row: np.ndarray | None = None
     for _, rows, sums in raw_sum_blocks(c.entries):

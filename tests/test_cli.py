@@ -63,6 +63,20 @@ class TestParsing:
     def test_bad_seed_rejected(self, capsys):
         assert main(["estimate", "--n", "4", "--reps", "10", "--seed", str(2**64)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--n", "abc", "--reps", "10", "--seed", "1"],
+             "argument --n: not an integer: 'abc'"),
+            (["bounds", "--n-list", "3", "--c-small", "x"],
+             "argument --c-small: not a number: 'x'"),
+        ],
+        ids=["estimate-n", "bounds-c-small"],
+    )
+    def test_malformed_value_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 # Each replication-count flag with the other flags its command requires.
 _REPLICATION_FLAGS = [
@@ -257,6 +271,18 @@ class TestConfigFile:
         config.write_text("bogus=1\n")
         assert main(["estimate", "--config", str(config)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert main(["estimate", "--config", str(missing)]) == 2
+        assert f"cannot read config file {str(missing)!r}" in capsys.readouterr().err
+
+    def test_flag_key_must_be_true_or_false(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sensitivity=yes\n")
+        base = ["nearmax", "--n", "3", "--eps", "0.2", "--reps", "10", "--seed", "1"]
+        assert main(base + ["--config", str(config)]) == 2
+        assert f"{config}:1: flag 'sensitivity' must be true or false" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -769,9 +795,10 @@ class TestScipyLoading:
         ids=["estimate", "estimate-csv", "ratio-table", "nearmax", "verify", "bounds"],
     )
     def test_sampling_commands_load_nothing_while_computing(self, flags):
-        # numpy imports numpy.random at the first np.random and numpy.ma at
-        # the first np.unique; set-up loads both, so that they count as
-        # set-up and a worker pool forked later inherits them.  A scipy
+        # numpy imports numpy.random at the first np.random; set-up loads
+        # it, so that it counts as set-up and a worker pool forked later
+        # inherits it.  The quadrature dedupes its break points in Python,
+        # so nothing loads numpy.ma, which np.unique imports.  A scipy
         # file loaded while computing leaves no module behind, so the
         # loads of graf._scipy are recorded too.
         script = "\n".join([
@@ -1230,7 +1257,7 @@ class TestReproducibility:
         assert not list(tmp_path.glob("**/*.tmp"))
 
 
-def _dying_task(task):
+def _dying_task(n, seeds, columns):
     """A row task whose worker process dies without reporting back."""
     os._exit(1)
 
@@ -1261,7 +1288,7 @@ class TestWorkerFailure:
         assert err.count("\n") == 1
 
     def test_dead_worker_process(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr(montecarlo, "_replicate_rows", _dying_task)
+        monkeypatch.setattr(montecarlo, "replicate_block", _dying_task)
         assume_cores(monkeypatch, 2)
         out = tmp_path / "ratio.csv"
         assert main(self.FLAGS + ["--out", str(out)]) == 1

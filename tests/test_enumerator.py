@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -231,6 +232,7 @@ class TestSizesAbove:
             "from graf import enumerator",
             "from graf._permutations import _split_tables",
             "from graf.field import sample_cost_entries",
+            "from graf.montecarlo import _child_seeds",
             "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
             "thresholds = np.array([5.4, 5.1, 4.6, 4.0])",
         ]
@@ -239,10 +241,11 @@ class TestSizesAbove:
             # tables, so only later ones count.
             "tasks": [
                 "size = enumerator.COUNT_TASK_ASSIGNMENTS // 362880",
-                "enumerator._count_matrices((9, 3, 0, size, thresholds))",
+                "enumerator._count_matrices(9, _child_seeds(3, 0, size), thresholds)",
                 "before = faults()",
                 "for k in range(1, 4):",
-                "    enumerator._count_matrices((9, 3, k * size, (k + 1) * size, thresholds))",
+                "    seeds = _child_seeds(3, k * size, (k + 1) * size)",
+                "    enumerator._count_matrices(9, seeds, thresholds)",
                 "per_matrix = (faults() - before) / (3 * size)",
                 "sys.exit(f'{per_matrix:.1f} faults per matrix' if per_matrix >= 100 else 0)",
             ],
@@ -331,7 +334,8 @@ class TestMeanCorrelationExhaustive:
 
 def count_tasks(n: int, replications: int, master_seed: int = 7) -> list[tuple]:
     """The counting tasks of one size."""
-    return list(montecarlo._tasks([enumerator._count_study(n, master_seed, replications)]))
+    study = enumerator._count_study(n, master_seed, replications)
+    return [task for block in montecarlo._block_tasks(study) for task in block]
 
 
 class TestCountTasks:
@@ -359,6 +363,24 @@ class TestCountTasks:
         for n in (2, 3, 6):
             tasks = count_tasks(n, 5000)
             assert [stop - start for _, _, start, stop, _ in tasks] == [4096, 904]
+
+
+class TestPoolInterface:
+    def test_enumerator_imports_no_task_internals(self):
+        # enumerator hands studies to the pool and reads results back; the
+        # seeds, the task cut and the task count stay in montecarlo.
+        tree = ast.parse(Path(enumerator.__file__).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "graf.montecarlo"
+            for alias in node.names
+        }
+        assert imported == {
+            "_moments", "_row_study", "_task_pool", "derive_seed", "replicate_block"
+        }
+        named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert not named & {"_tasks", "_task_count", "_child_seeds", "_replicate_rows"}
 
 
 class TestDimensionStudy:
@@ -417,7 +439,7 @@ class TestDimensionStudy:
         assume_cores(monkeypatch, 2)
         sizes, m_reps, seed = [3, 9, 6], 2000, 29
         studies = [montecarlo._row_study(n, 0, m_reps, 1) for n in sizes]
-        assert [montecarlo._task_count([study]) for study in studies] == [1, 3, 2]
+        assert [len(list(montecarlo._block_tasks(study))[0]) for study in studies] == [1, 3, 2]
         rows = nearmax_table(sizes, [0.2], 12, seed, m_reps=m_reps, workers=workers)
         for row, n in zip(rows, sizes):
             expected = estimate(n, m_reps, derive_seed(seed, n, 0)).max_value

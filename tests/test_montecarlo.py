@@ -479,18 +479,19 @@ class TestEstimate:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert report == estimate(3, 30, 8, workers=1)
 
-    def test_pool_counts_the_cpus_it_may_use(self, monkeypatch):
+    def test_pool_counts_the_cpus_it_may_use(self, fake_pool, monkeypatch):
         # Pinned to one CPU of an 8-CPU machine: no pool.
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-        with montecarlo._task_pool(2, 10) as run:
-            assert run is map
+        with montecarlo._task_pool(2, [TEN_TASKS]):
+            pass
+        assert fake_pool.sizes == []
 
     def test_pool_counts_all_cpus_without_affinity(self, fake_pool, monkeypatch):
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        with montecarlo._task_pool(8, 10) as run:
-            assert run is not map
+        with montecarlo._task_pool(8, [TEN_TASKS]):
+            pass
         assert fake_pool.sizes == [2]
 
     def test_worker_invariance_across_task_boundaries(self, monkeypatch):
@@ -526,9 +527,55 @@ class TestEstimate:
         assert report == estimate(3, 30, 8, workers=1)
 
 
+#: Studies ``(n, root, count, most, arg)`` of ten one-matrix tasks and of one matrix.
+TEN_TASKS = (3, 0, 10, 1, None)
+ONE_MATRIX = (3, 0, 1, 1, None)
+
+
 def row_tasks(n: int, replications: int, columns: int = len(STAT_KEYS)) -> list[tuple]:
     """The row tasks of one study at size ``n``."""
-    return list(montecarlo._tasks([montecarlo._row_study(n, 5, replications, columns)]))
+    study = montecarlo._row_study(n, 5, replications, columns)
+    return [task for block in montecarlo._block_tasks(study) for task in block]
+
+
+def seeds_of(n: int, seeds: np.ndarray, arg) -> tuple:
+    """A task function that reports what its task was given."""
+    return n, seeds.tolist(), arg
+
+
+class TestTaskPool:
+    """``run`` yields each study's results in order, grouped per block."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_per_study_and_block(self, workers, monkeypatch, caplog):
+        # Blocks of 10: 25 matrices cross two blocks, then a study of one
+        # matrix, then a block of 10 in tasks of 3 or 4.
+        assume_cores(monkeypatch, 2)
+        monkeypatch.setattr(montecarlo, "BLOCK_REPLICATIONS", 10)
+        studies = [(2, 11, 25, 4, "a"), (3, 12, 1, 4, "b"), (4, 13, 10, 4, "c")]
+        with caplog.at_level("INFO", logger="graf.montecarlo"):
+            with montecarlo._task_pool(workers, studies) as run:
+                got = [list(blocks) for blocks in run(seeds_of, studies)]
+        assert ("task pool: 2 workers" in caplog.text) == (workers == 2)
+        assert len(got) == len(studies)
+        for (n, root, count, most, arg), blocks in zip(studies, got):
+            assert [[(r[0], r[2]) for r in block] for block in blocks] == [
+                [(n, arg)] * len(block) for block in blocks
+            ]
+            assert all(0 < len(r[1]) <= most for block in blocks for r in block)
+            assert [[s for r in block for s in r[1]] for block in blocks] == [
+                [derive_seed(root, k) for k in range(start, min(start + 10, count))]
+                for start in range(0, count, 10)
+            ]
+        assert [[len(block) for block in blocks] for blocks in got] == [[3, 3, 2], [1], [3]]
+
+    @pytest.mark.parametrize(
+        "phases, sizes", [([[ONE_MATRIX]], []), ([[ONE_MATRIX], [TEN_TASKS]], [2])]
+    )
+    def test_pool_sized_by_the_longest_phase(self, fake_pool, phases, sizes):
+        with montecarlo._task_pool(8, *phases):
+            pass
+        assert fake_pool.sizes == sizes
 
 
 class TestTasks:
@@ -548,21 +595,19 @@ class TestTasks:
     def test_equal_tasks_within_each_block(self, shapes):
         block_size = montecarlo.BLOCK_REPLICATIONS
         studies = [(k + 2, 7 * k, count, most, f"arg{k}") for k, (count, most) in enumerate(shapes)]
-        tasks = list(montecarlo._tasks(studies))
-        assert montecarlo._task_count(studies) == len(tasks)
-        for n, root, count, most, arg in studies:
-            mine = [task for task in tasks if task[0] == n]
-            # Each study's tasks are contiguous in the stream, in turn.
-            assert tasks[: len(mine)] == mine
-            tasks = tasks[len(mine) :]
-            assert {(t[1], t[4]) for t in mine} == {(root, arg)}
-            starts, stops = [t[2] for t in mine], [t[3] for t in mine]
+        cut = [list(montecarlo._block_tasks(study)) for study in studies]
+        assert montecarlo._task_count(studies) == sum(len(b) for blocks in cut for b in blocks)
+        for (n, root, count, most, arg), blocks in zip(studies, cut):
+            tasks = [task for block in blocks for task in block]
+            assert {(t[0], t[1], t[4]) for t in tasks} == {(n, root, arg)}
+            starts, stops = [t[2] for t in tasks], [t[3] for t in tasks]
             assert starts == [0, *stops[:-1]] and stops[-1] == count
-            for block in range(0, count, block_size):
-                size = min(block_size, count - block)
-                lengths = [b - a for a, b in zip(starts, stops) if block <= a < block + size]
+            assert len(blocks) == -(-count // block_size)
+            for block_start, block in zip(range(0, count, block_size), blocks):
+                size = min(block_size, count - block_start)
+                lengths = [stop - start for _, _, start, stop, _ in block]
                 # None crosses the block, the fewest of at most `most` each.
-                assert sum(lengths) == size
+                assert block[0][2] == block_start and sum(lengths) == size
                 assert len(lengths) == -(-size // most)
                 assert max(lengths) <= most and max(lengths) - min(lengths) <= 1
                 assert montecarlo._task_count([(n, root, size, most, arg)]) == len(lengths)
@@ -584,7 +629,7 @@ class TestRowTasks:
         if n <= 90:
             blocks = range(0, reps, block_size)
             one_pass_each = sum(-(-min(block_size, reps - b) // step) for b in blocks)
-            assert montecarlo._task_count([study]) == one_pass_each
+            assert len(row_tasks(n, reps, 3)) == one_pass_each
 
     @pytest.mark.parametrize(
         "n, reps, count",
@@ -594,7 +639,6 @@ class TestRowTasks:
         # estimate-small; nearmax-enum's m-pass (one column); ratio-large.
         for columns in (1, len(STAT_KEYS)):
             assert len(row_tasks(n, reps, columns)) == count
-            assert montecarlo._task_count([montecarlo._row_study(n, 5, reps, columns)]) == count
 
 
 class TestRatioTable:
@@ -681,12 +725,10 @@ class TestMaxSummary:
         assume_cores(monkeypatch, 2)
         n, seed = 8, derive_seed(23, 8, 0)
         max_only = [montecarlo._row_study(n, seed, reps, 1)]
-        full = [montecarlo._row_study(n, seed, reps)]
-        with montecarlo._task_pool(workers, montecarlo._task_count(max_only)) as run:
-            results = run(montecarlo._replicate_rows, montecarlo._tasks(max_only))
-            summary = montecarlo._moments(results, reps, 1)[0].summaries()["max_value"]
-            results = run(montecarlo._replicate_rows, montecarlo._tasks(full))
-            expected = montecarlo._estimate(n, reps, seed, results).max_value
+        with montecarlo._task_pool(workers, max_only) as run:
+            (blocks,) = run(replicate_block, max_only)
+            summary = montecarlo._moments(blocks, 1)[0].summaries()["max_value"]
+        expected = estimate(n, reps, seed, workers=workers).max_value
         assert summary.mean == expected.mean
         assert summary.mean_std_error == expected.mean_std_error
         assert summary == expected
