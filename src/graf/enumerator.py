@@ -1,9 +1,9 @@
 """Exhaustive small-size studies of the assignment field.
 
 Everything here walks all ``n!`` assignments: full field enumeration,
-near-maximal set counting and its dimension ``log|A| / log(n!)``, exact
-agreement histograms, and correlation-ball counts, which ``graf verify``
-compares with their closed form.
+near-maximal set counting and its expected dimension
+``E log|A| / log(n!)``, exact agreement histograms, and correlation-ball
+counts, which ``graf verify`` compares with their closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ MEAN_PARTIAL_ROWS = 1 << 16
 
 
 def _raw_sums(entries: np.ndarray) -> np.ndarray:
-    """Every assignment's un-normalized cost, in lexicographic order."""
+    """Every assignment's un-normalized cost, in lexicographic order;
+    ValueError past ``ENUM_N_MAX``."""
+    if entries.shape[0] > ENUM_N_MAX:
+        raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
     sums = np.empty(math.factorial(entries.shape[0]))
     for start, _, block in raw_sum_blocks(entries):
         sums[start : start + len(block)] = block
@@ -57,8 +60,6 @@ def enumerate_field(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(perms, values)``: the read-only ``(n!, n)`` table of 0-based
     column indices from :func:`perm_table` and the ``n!`` field values.
     """
-    if c.n > ENUM_N_MAX:
-        raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
     values = _raw_sums(c.entries)
     values /= math.sqrt(c.n)
     return perm_table(c.n), values
@@ -71,8 +72,6 @@ def enumerated_field_mean(c: CostMatrix) -> float:
     enumeration side of that identity.  It fsums one float partial per
     :data:`MEAN_PARTIAL_ROWS` sums.
     """
-    if c.n > ENUM_N_MAX:
-        raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
     sums = _raw_sums(c.entries)
     total = math.fsum(
         float(sums[k : k + MEAN_PARTIAL_ROWS].sum()) for k in range(0, len(sums), MEAN_PARTIAL_ROWS)
@@ -128,18 +127,16 @@ def _count_variants(eps_list: list[float], sensitivity: bool, replications: int)
 
 @dataclass(frozen=True)
 class NearMaxReport:
-    """Size and dimension of one instance's near-maximal assignment set.
-
-    ``dimension`` is ``log(set_size) / log(n!)`` and is None when the set
-    is empty.
-    """
+    """Size of one instance's near-maximal assignment set."""
 
     set_size: int
-    dimension: float | None
 
 
 def near_maximal_set(c: CostMatrix, eps: float, m_used: float) -> NearMaxReport:
-    """Count assignments whose field value exceeds ``(1 - eps) * m_used``."""
+    """Count assignments whose field value exceeds ``(1 - eps) * m_used``,
+    as :func:`nearmax_table` counts them; the benchmark's traced recount
+    reads it (``notes/decisions.md``, "near_maximal_set keeps only its
+    count")."""
     if c.n > ENUM_N_MAX:
         raise ValueError(f"full enumeration is capped at n={ENUM_N_MAX}")
     if not 0.0 < eps < 1.0:
@@ -147,12 +144,7 @@ def near_maximal_set(c: CostMatrix, eps: float, m_used: float) -> NearMaxReport:
     if not math.isfinite(m_used):
         raise ValueError("plug-in mean must be finite")
     threshold = (1.0 - eps) * m_used * math.sqrt(c.n)
-    size = int(_sizes_above(c.entries, np.array([threshold]))[0])
-    log_nfact = math.lgamma(c.n + 1)
-    dimension = (math.log(size) / log_nfact) if size >= 1 and c.n >= 2 else None
-    if size >= 1 and c.n == 1:
-        dimension = 0.0
-    return NearMaxReport(set_size=size, dimension=dimension)
+    return NearMaxReport(set_size=int(_sizes_above(c.entries, np.array([threshold]))[0]))
 
 
 @dataclass(frozen=True)

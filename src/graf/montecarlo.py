@@ -4,12 +4,13 @@ Every replication draws one cost matrix, solves for the maximum, minimum
 and greedy values, and records the field mean together with the residual
 maximum (the maximum minus the field mean, whose two parts are
 independent).  One array kernel, :func:`replicate_block`, samples and
-solves every replication of :func:`estimate`, :func:`ratio_table` and the
-near-max mean pass, which solves and accumulates the maximum only.
-Per-replication seeds come from a pinned SplitMix64 ladder, and one
-mergeable central-moment accumulator takes the rows in replication
-order, so results are bit-identical for a given master seed however many
-workers the call's process pool has.
+solves, with :mod:`graf.solvers`' batch calls, every replication of
+:func:`estimate`, :func:`ratio_table` and the near-max mean pass, which
+solves and accumulates the maximum only.  Per-replication seeds come
+from a pinned SplitMix64 ladder, and one mergeable central-moment
+accumulator takes the rows in replication order, so results are
+bit-identical for a given master seed however many workers the call's
+process pool has.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from graf import _scipy
 from graf.combinatorics import log_factorial
 from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
-from graf.solvers import greedy_columns
+from graf.solvers import _lsa_columns, greedy_columns
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -117,34 +117,6 @@ class EstimateReport:
 #: Columns of a :func:`replicate_block` row, in order.
 STAT_KEYS = ("max_value", "min_value", "greedy_value", "field_mean", "residual_max")
 
-#: Least size whose kernel LSA solves take reduced costs (see
-#: :func:`_lsa_columns`); below it, forming them costs more than they save.
-REDUCED_COST_N_MIN = 40
-
-
-def _lsa_columns(entries: np.ndarray, maximize: bool) -> list[np.ndarray]:
-    """The columns ``linear_sum_assignment(c, maximize=maximize)`` gives
-    each matrix ``c`` of a ``(B, n, n)`` batch of sampled costs.
-
-    From ``n = REDUCED_COST_N_MIN`` on, it minimizes reduced costs
-    instead: each row of ``c`` less the row's minimum (for the maximum,
-    the row's maximum less the row), then each column less its minimum.
-    Subtracting a constant from a row or a column shifts every
-    assignment's sum by the same amount, so the optimum holds, and the
-    solver's zero duals start nearer it.  Sampled entries lie in (-9, 9),
-    so reduced costs lie in [0, 18).
-    """
-    linear_sum_assignment = _scipy.linear_sum_assignment()
-    if entries.shape[1] < REDUCED_COST_N_MIN:
-        return [linear_sum_assignment(c, maximize=maximize)[1] for c in entries]
-    columns = []
-    for c in entries:
-        d = c.max(axis=1)[:, None] - c if maximize else c - c.min(axis=1)[:, None]
-        d -= d.min(axis=0)
-        columns.append(linear_sum_assignment(d)[1])
-    return columns
-
-
 def replicate_block(
     n: int, seeds: Sequence[int] | np.ndarray, columns: int = len(STAT_KEYS)
 ) -> np.ndarray:
@@ -157,10 +129,11 @@ def replicate_block(
     collapses to ``sum_ij c(i, j) / (n * sqrt(n))``) and the residual
     maximum (the maximum minus the field mean).  Only the solves those
     columns need run, and each column has the bits it has in a full row.
-    The LSA solves take reduced costs from ``n = REDUCED_COST_N_MIN`` on
-    (see :func:`_lsa_columns`); the values are summed from the sampled
-    entries either way.  Matrices are drawn and solved a sampling pass at
-    a time, so memory does not grow with the batch.
+    The solves are :mod:`graf.solvers`' batch calls, whose LSA takes
+    reduced costs from ``n = REDUCED_COST_N_MIN`` on (see
+    :func:`~graf.solvers._lsa_columns`); the values are summed from the
+    sampled entries either way.  Matrices are drawn and solved a sampling
+    pass at a time, so memory does not grow with the batch.
     """
     if not 1 <= columns <= len(STAT_KEYS):
         raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")

@@ -1,9 +1,13 @@
 """Assignment solvers: exhaustive, exact O(n^3), and greedy.
 
-``solve_max_exact`` delegates to scipy's dense shortest-augmenting-path
-solver (Jonker-Volgenant style with dual potentials, loaded by
+Exact solves call scipy's dense shortest-augmenting-path solver
+(Jonker-Volgenant style with dual potentials, loaded by
 :mod:`graf._scipy`), which handles real-valued costs exactly; the
-exhaustive solver is its oracle for small sizes.  The greedy construction
+exhaustive solver is its oracle for small sizes.  There are two calls.
+``solve_max_exact`` and ``solve_min_exact`` pass a CSV matrix as it is,
+since its entries can be anything; ``_lsa_columns`` passes the
+replication kernel's sampled batches, whose entries lie in (-9, 9), as
+reduced costs from ``REDUCED_COST_N_MIN`` on.  The greedy construction
 walks the rows in order and takes the best still-unused column, which
 lower-bounds the maximum.  ``greedy_columns`` implements it on a whole
 batch of matrices at once; ``greedy_assignment`` runs it on a batch of one.
@@ -75,6 +79,34 @@ def solve_min_exact(c: CostMatrix) -> SolveResult:
     """Minimum-sum assignment; the maximizer of the negated matrix."""
     _, columns = _scipy.linear_sum_assignment()(c.entries)
     return _result(c.entries, columns)
+
+
+#: Least size whose kernel LSA solves take reduced costs (see
+#: :func:`_lsa_columns`); below it, forming them costs more than they save.
+REDUCED_COST_N_MIN = 40
+
+
+def _lsa_columns(entries: np.ndarray, maximize: bool) -> list[np.ndarray]:
+    """The columns ``linear_sum_assignment(c, maximize=maximize)`` gives
+    each matrix ``c`` of a ``(B, n, n)`` batch of sampled costs.
+
+    From ``n = REDUCED_COST_N_MIN`` on, it minimizes reduced costs
+    instead: each row of ``c`` less the row's minimum (for the maximum,
+    the row's maximum less the row), then each column less its minimum.
+    Subtracting a constant from a row or a column shifts every
+    assignment's sum by the same amount, so the optimum holds, and the
+    solver's zero duals start nearer it.  Sampled entries lie in (-9, 9),
+    so reduced costs lie in [0, 18).
+    """
+    linear_sum_assignment = _scipy.linear_sum_assignment()
+    if entries.shape[1] < REDUCED_COST_N_MIN:
+        return [linear_sum_assignment(c, maximize=maximize)[1] for c in entries]
+    columns = []
+    for c in entries:
+        d = c.max(axis=1)[:, None] - c if maximize else c - c.min(axis=1)[:, None]
+        d -= d.min(axis=0)
+        columns.append(linear_sum_assignment(d)[1])
+    return columns
 
 
 def greedy_assignment(c: CostMatrix) -> SolveResult:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import os
@@ -69,8 +70,9 @@ class TestEnumerateField:
         c = CostMatrix(np.ones((4, 4)))
         assert all(value == pytest.approx(2.0, rel=1e-14) for value in enumerate_field(c)[1])
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(enumerator, "raw_sum_blocks", None)  # any walk would fail
+        with pytest.raises(ValueError, match="full enumeration is capped at n=9"):
             enumerate_field(CostMatrix(np.zeros((10, 10))))
 
 
@@ -101,6 +103,11 @@ class TestEnumeratedFieldMean:
         monkeypatch.setattr(_permutations, "BLOCK_ROWS", block_rows)
         assert [enumerated_field_mean(c) for c in matrices] == expected
 
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(enumerator, "raw_sum_blocks", None)  # any walk would fail
+        with pytest.raises(ValueError, match="full enumeration is capped at n=9"):
+            enumerated_field_mean(CostMatrix(np.zeros((10, 10))))
+
 
 class TestNearMaximalSet:
     def test_counts_strictly_above_threshold(self):
@@ -109,8 +116,8 @@ class TestNearMaximalSet:
         m_used = 1.0
         report = near_maximal_set(c, 0.25, m_used)
         oracle = sum(1 for v in values if v > 0.75 * m_used)
+        assert 0 < oracle < len(values)
         assert report.set_size == oracle
-        assert (report.dimension is None) == (oracle == 0)
 
     def test_monotone_in_eps(self):
         c = sample_cost_matrix(5, 9)
@@ -130,18 +137,19 @@ class TestNearMaximalSet:
         assert report.set_size == oracle
 
     def test_dimension_range(self):
+        # A non-empty set within the group, so log(size) / log(n!), the
+        # dimension nearmax_table averages, lies in [0, 1].
         c = sample_cost_matrix(5, 3)
         report = near_maximal_set(c, 0.9, 1.0)
-        assert report.set_size >= 1
-        assert report.dimension is not None
-        assert 0.0 <= report.dimension <= 1.0
-        assert report.set_size <= math.factorial(5)
+        assert 1 <= report.set_size <= math.factorial(5)
 
     def test_empty_set_has_no_dimension(self):
+        # The report is the count alone; nearmax_table's dimension counts
+        # an empty set as 0 (TestDimensionStudy::test_recount_reproduces_the_table).
         c = sample_cost_matrix(3, 1)
         report = near_maximal_set(c, 0.01, 100.0)
         assert report.set_size == 0
-        assert report.dimension is None
+        assert [field.name for field in dataclasses.fields(report)] == ["set_size"]
 
 
 class TestSizesAbove:
@@ -405,6 +413,22 @@ class TestDimensionStudy:
         assert low.m_used < base.m_used < high.m_used
         # Lower plug-in mean => lower threshold => larger sets.
         assert low.dimension >= base.dimension >= high.dimension
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_recount_reproduces_the_table(self, n):
+        # The benchmark's traced nearmax run recounts each matrix's set with
+        # near_maximal_set at a row's m_used, on seed path (n, 1, k), and
+        # rebuilds the row's dimension from the counts.
+        seed, reps = 23, 40
+        rows = nearmax_table([n], [0.1, 0.3], reps, seed, m_reps=300, sensitivity=True)
+        matrices = [sample_cost_matrix(n, derive_seed(seed, n, 1, k)) for k in range(reps)]
+        for row in rows:
+            sizes = [near_maximal_set(c, row.epsilon, row.m_used).set_size for c in matrices]
+            assert row.empty_fraction == 1.0 - sum(map(bool, sizes)) / reps
+            logs = [math.log(size) if size else 0.0 for size in sizes]
+            dimension = math.fsum(logs) / reps / math.lgamma(n + 1)
+            assert abs(dimension - row.dimension) <= 1e-12
+        assert len({row.empty_fraction for row in rows}) > 1
 
     def test_generous_eps_gives_dimension_near_one(self):
         rows = nearmax_table([4], [0.9], replications=50, master_seed=8, m_reps=300)

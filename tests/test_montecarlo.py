@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
-from graf import _scipy, montecarlo
+from graf import _scipy, montecarlo, solvers
 from graf.enumerator import enumerated_field_mean
 from graf.field import (
     SAMPLE_N_MAX,
@@ -325,7 +325,7 @@ class TestReplicateBlock:
     def test_batches_spanning_sampling_passes(self, n, batch, root):
         # 60x60 matrices split a 40-seed batch across passes; a 257x257
         # matrix fills a pass on its own.  n = 39 and 40 lie on either side
-        # of REDUCED_COST_N_MIN.
+        # of solvers.REDUCED_COST_N_MIN.
         assert sample_chunk_size(n) < batch
         seeds = [derive_seed(root, k) for k in range(batch)]
         assert replicate_block(n, seeds).tolist() == [oracle_row(n, s) for s in seeds]
@@ -352,7 +352,7 @@ class TestReplicateBlock:
         def no_greedy(entries):
             raise AssertionError("greedy ran")
 
-        # replicate_block takes the solver from graf._scipy when called.
+        # graf.solvers._lsa_columns takes the solver from graf._scipy when called.
         montecarlo_lsa = _scipy.linear_sum_assignment()
         monkeypatch.setattr(_scipy, "linear_sum_assignment", lambda: recording_lsa)
         monkeypatch.setattr(montecarlo, "greedy_columns", no_greedy)
@@ -362,14 +362,14 @@ class TestReplicateBlock:
     @pytest.mark.parametrize("n, count", [(40, 1000), (64, 1000), (100, 1000), (200, 40)])
     @pytest.mark.parametrize("maximize", [True, False])
     def test_reduced_costs_keep_the_solver_columns(self, n, count, maximize):
-        # From REDUCED_COST_N_MIN on the kernel solves reduced costs; each
-        # matrix must get the columns of the plain call.
-        assert n >= montecarlo.REDUCED_COST_N_MIN
+        # From solvers.REDUCED_COST_N_MIN on the kernel solves reduced
+        # costs; each matrix must get the columns of the plain call.
+        assert n >= solvers.REDUCED_COST_N_MIN
         lsa = _scipy.linear_sum_assignment()
         seeds, step = montecarlo._child_seeds(n, 0, count), sample_chunk_size(n)
         for start in range(0, count, step):
             entries = sample_cost_entries(n, seeds[start : start + step])
-            solved = montecarlo._lsa_columns(entries, maximize)
+            solved = solvers._lsa_columns(entries, maximize)
             plain = [lsa(c, maximize=maximize)[1] for c in entries]
             assert all(np.array_equal(a, b) for a, b in zip(solved, plain)), start
 
@@ -769,7 +769,7 @@ class TestExponentialOracle:
 
     @pytest.mark.parametrize("n, reps", [(10, 20000), (39, 4000), (40, 4000), (100, 2000)])
     def test_exact_moments(self, exponential_costs, n, reps):
-        # 39 and 40 lie on both sides of REDUCED_COST_N_MIN.
+        # 39 and 40 lie on both sides of solvers.REDUCED_COST_N_MIN.
         report = estimate(n, reps, self.SEED, workers=2)
         assert report.greedy_violations == 0
         for (key, moment), target in exponential_targets(n).items():

@@ -1,13 +1,16 @@
-"""README's library example and CSV column lists, checked against the code."""
+"""README's library example, CSV column lists and dependency floors,
+checked against the code, pyproject.toml and CI."""
 
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
 
 from graf.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_example_runs():
@@ -47,3 +50,18 @@ def test_csv_header_matches_readme(capsys, heading, argv):
     assert main(argv) == 0
     header = capsys.readouterr().out.split("\n", 1)[0]
     assert header.split(",") == _documented_columns(heading)
+
+
+def test_dependency_floors_are_the_ci_pins():
+    # graf._scipy loads compiled files by module name, so the floors are
+    # the releases CI runs, and README's install section names them.
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floors = dict(re.fullmatch(r"(\w+)>=([\d.]+)", dep).groups() for dep in project["dependencies"])
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pins = dict(re.findall(r"\b(numpy|scipy)==([\d.]+)", ci))
+    python = re.search(r'python-version: "([\d.]+)"', ci).group(1)
+    assert floors == pins and project["requires-python"] == f">={python}"
+    section = README.read_text(encoding="utf-8").split("## Install and test", 1)[1]
+    install = " ".join(section.split("```", 1)[0].split())
+    for name, version in [("Python", python), *pins.items()]:
+        assert f"{name} {version} or later" in install

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -214,3 +215,46 @@ class TestGreedyColumns:
         kept = entries.copy()
         assert np.array_equal(greedy_columns(entries), greedy_where_oracle(entries))
         assert np.array_equal(entries, kept)
+
+
+def _names(tree: ast.AST) -> list[str]:
+    """Every name, attribute and def name in ``tree``, in walk order."""
+    return [
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef))
+    ]
+
+
+class TestLayers:
+    """``field → solvers → montecarlo``: scipy's LSA has one home."""
+
+    SRC = Path(graf.__file__).parent
+
+    def test_montecarlo_imports_no_scipy_boundary(self):
+        tree = ast.parse((self.SRC / "montecarlo.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        assert "graf.solvers._lsa_columns" in imported
+        assert not {name for name in imported if "scipy" in name}
+
+    def test_only_solvers_names_the_lsa(self):
+        naming = set()
+        for path in self.SRC.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            count = _names(tree).count("linear_sum_assignment")
+            if count:
+                naming.add(path.name)
+            if path.name == "cli.py":
+                # All of cli's are in its set-up table, which loads the solver.
+                table = next(
+                    node for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "_COMMANDS"
+                )
+                assert _names(table).count("linear_sum_assignment") == count
+        assert naming == {"_scipy.py", "cli.py", "solvers.py"}
