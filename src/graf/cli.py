@@ -20,6 +20,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from fractions import Fraction
+from inspect import signature
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -187,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     nearmax.add_argument("--eps", type=_unit_list, required=True)
     nearmax.add_argument("--reps", type=_replications, required=True)
     nearmax.add_argument("--seed", type=_seed_value, required=True)
-    nearmax.add_argument("--m-reps", type=_replications, default=100_000)
+    m_reps = signature(nearmax_table).parameters["m_reps"].default
+    nearmax.add_argument("--m-reps", type=_replications, default=m_reps)
     nearmax.add_argument("--sensitivity", action="store_true")
 
     enum = command("enumerate", "list every assignment's field value")

@@ -165,46 +165,6 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
-#: Fewest seeds a sampling pass seeds in batch.  The batch costs about
-#: 130 us of small numpy calls per pass and saves about 11 us per seed
-#: against ``np.random.PCG64(seed)`` (n = 10, 2-core VM), so smaller
-#: passes, such as every pass from n = 74 on, use numpy's constructor.
-_SEED_BATCH_MIN = 12
-
-
-def _raw_passes(n: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
-    """The first ``n*n`` raw outputs of ``np.random.PCG64(seed)`` for each
-    ``uint64`` seed, as one ``(matrices, n*n)`` array per sampling pass of
-    :func:`sample_chunk_size` seeds.  Each pass refills the previous pass's
-    buffer, so a caller may change a pass in place.
-
-    A pass of at least ``_SEED_BATCH_MIN`` seeds takes its PCG64 states
-    from :func:`_seed_sequence_words`; one generator, reused for the pass,
-    is set to each state and drawn from.
-    """
-    step = sample_chunk_size(n)
-    raw = np.empty((min(step, len(seeds)), n * n), dtype=np.uint64)
-    for start in range(0, len(seeds), step):
-        batch = seeds[start : start + step]
-        if len(batch) < _SEED_BATCH_MIN:
-            for row, seed in zip(raw, batch.tolist()):
-                row[:] = np.random.PCG64(seed).random_raw(n * n)
-        else:
-            generator = np.random.PCG64(0)
-            for row, (w0, w1, w2, w3) in zip(raw, _seed_sequence_words(batch).tolist()):
-                # PCG64's seeding: initstate = w0:w1, initseq = w2:w3 (128-bit).
-                inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
-                state = ((((w0 << 64) | w1) + inc) * _PCG_MULT + inc) & _MASK128
-                generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                row[:] = generator.random_raw(n * n)
-        yield raw[: len(batch)]
-
-
 def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """``seeds`` as a ``uint64`` array; each must be an integer in ``0..SEED_MAX``."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
@@ -216,6 +176,47 @@ def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     return np.array(checked, dtype=np.uint64)
 
 
+def _gaussian_passes(n: int, seeds: Sequence[int] | np.ndarray) -> Iterator[np.ndarray]:
+    """The matrices of :func:`sample_cost_entries`, as one
+    ``(matrices, n, n)`` array per sampling pass of
+    :func:`sample_chunk_size` seeds.  Each pass refills the previous
+    pass's buffers, so a caller may change a pass in place.
+
+    The size and every seed are checked, and the PCG64 states of all the
+    seeds derived by :func:`_seed_sequence_words`, before the first pass
+    is drawn.  One generator, reused for the call, is set to each state
+    and drawn from.
+    """
+    ndtri = _scipy.ndtri()  # from scipy's compiled file, on first use, not at import
+    step = sample_chunk_size(n)
+    seeds = _seed_array(seeds)
+    words = _seed_sequence_words(seeds).tolist()
+    raw = np.empty((min(step, len(seeds)), n * n), dtype=np.uint64)
+    entries = np.empty(raw.shape)
+    generator = np.random.PCG64(0)
+    for start in range(0, len(seeds), step):
+        chunk = words[start : start + step]
+        batch, u = raw[: len(chunk)], entries[: len(chunk)]
+        for row, (w0, w1, w2, w3) in zip(batch, chunk):
+            # PCG64's seeding: initstate = w0:w1, initseq = w2:w3 (128-bit).
+            inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+            state = ((((w0 << 64) | w1) + inc) * _PCG_MULT + inc) & _MASK128
+            generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            row[:] = generator.random_raw(n * n)
+        # Step 2 in place in the two buffers: no temporaries.
+        batch >>= np.uint64(11)
+        np.copyto(u, batch)
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=u)
+        yield u.reshape(len(chunk), n, n)
+
+
 def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """Draw one ``n x n`` matrix of i.i.d. standard Gaussian costs per seed.
 
@@ -224,9 +225,9 @@ def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray
     ``(n, seed)`` determines a matrix bit-for-bit on every platform:
 
     1. a PCG64 stream is seeded with ``seed`` through numpy's
-       ``SeedSequence`` algorithm; the PCG64 states of a sampling pass are
-       derived in batch (see :func:`_raw_passes`), and the draws equal
-       ``np.random.PCG64(seed)``'s bit for bit,
+       ``SeedSequence`` algorithm; the PCG64 states of all the seeds of a
+       call are derived at once (see :func:`_gaussian_passes`), and the
+       draws equal ``np.random.PCG64(seed)``'s bit for bit,
     2. the first ``n*n`` raw 64-bit outputs are mapped to uniforms through
        their top 53 bits, ``u = ((r >> 11) + 0.5) * 2**-53`` (never 0 or 1),
     3. each ``u`` goes through the inverse normal CDF (Cephes ``ndtri``,
@@ -237,20 +238,13 @@ def sample_cost_entries(n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray
     Every step is elementwise, so sampling in passes of
     :func:`sample_chunk_size` matrices changes no bit.
     """
-    ndtri = _scipy.ndtri()  # from scipy's compiled file, on first use, not at import
     sample_chunk_size(n)  # rejects a bad size before anything is allocated
     seeds = _seed_array(seeds)
     out = np.empty((len(seeds), n, n))
     start = 0
-    for raw in _raw_passes(n, seeds):
-        # Step 2 in place, in the pass's own rows of out: no temporaries.
-        u = out[start : start + len(raw)].reshape(len(raw), n * n)
-        raw >>= np.uint64(11)
-        np.copyto(u, raw)
-        u += 0.5
-        u *= 2.0**-53
-        ndtri(u, out=u)
-        start += len(raw)
+    for matrices in _gaussian_passes(n, seeds):
+        out[start : start + len(matrices)] = matrices
+        start += len(matrices)
     return out
 
 

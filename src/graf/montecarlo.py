@@ -22,12 +22,13 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from graf.combinatorics import log_factorial
-from graf.field import SEED_MAX, sample_chunk_size, sample_cost_entries
+from graf.field import SEED_MAX, _gaussian_passes, sample_chunk_size
 from graf.solvers import _lsa_columns, greedy_columns
 
 if TYPE_CHECKING:
@@ -139,10 +140,10 @@ def replicate_block(
         raise ValueError(f"columns must lie in 1..{len(STAT_KEYS)}, got {columns}")
     rows = np.empty((len(seeds), columns))
     root_n = math.sqrt(n)
-    step = sample_chunk_size(n)
-    for start in range(0, len(seeds), step):
-        entries = sample_cost_entries(n, seeds[start : start + step])
+    start = 0
+    for entries in _gaussian_passes(n, seeds):
         out = rows[start : start + len(entries)]
+        start += len(entries)
         matrix, row = np.arange(len(entries))[:, None], np.arange(n)
         for col in range(min(columns, 3)):
             solved = greedy_columns(entries) if col == 2 else _lsa_columns(entries, col == 0)
@@ -181,10 +182,9 @@ def _block_tasks(study: tuple) -> Iterator[list[tuple]]:
         yield [(n, root, start, stop, arg) for start, stop in zip(cuts, cuts[1:])]
 
 
-def _task_count(studies) -> int:
-    """Number of tasks :func:`_block_tasks` cuts from ``studies``, in closed form."""
-    block = BLOCK_REPLICATIONS
-    return sum(c // block * -(-block // m) + -(-(c % block) // m) for _, _, c, m, _ in studies)
+def _tasks(studies: list[tuple]) -> Iterator[tuple]:
+    """Every task of ``studies``, in order."""
+    return (task for study in studies for block in _block_tasks(study) for task in block)
 
 
 @dataclass
@@ -319,8 +319,7 @@ def _run(mapper, fn, studies: list[tuple]) -> Iterator[Iterator[list]]:
     """For each study in turn, an iterator over its blocks, each the list
     of ``fn``'s results on that block's tasks, which ``mapper`` maps in
     task order.  Each study's blocks are to be read before the next study."""
-    tasks = (task for study in studies for block in _block_tasks(study) for task in block)
-    results = mapper(partial(_run_task, fn), tasks)
+    results = mapper(partial(_run_task, fn), _tasks(studies))
     for study in studies:
         yield ([next(results) for _ in block] for block in _block_tasks(study))
 
@@ -340,9 +339,11 @@ def _task_pool(workers: int, *phases: list[tuple]):
         raise ValueError("worker count must be at least 1")
     # More processes than tasks or than the cores this process may run on
     # cannot help, and the pool starts all of them at the first submit.
+    # Counting no further than that keeps sizing from cutting a whole study.
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(workers, cores, max(map(_task_count, phases)))
+    most = min(workers, cores)
+    workers = max(len(list(islice(_tasks(phase), most))) for phase in phases)
     if workers <= 1:
         yield partial(_run, map)
         return

@@ -1,28 +1,31 @@
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graf import _scipy, field, montecarlo
 from graf._permutations import perm_table
 from graf.enumerator import enumerate_field, near_maximal_set
 from graf.field import (
     SEED_MAX,
     CostMatrix,
-    _SEED_BATCH_MIN,
+    _gaussian_passes,
     _permutation_codes,
-    _raw_passes,
     _seed_array,
     _seed_sequence_words,
     correlation,
     field_value,
     read_matrix_csv,
     sample_chunk_size,
+    sample_cost_entries,
     sample_cost_matrix,
     write_matrix_csv,
 )
+from graf.montecarlo import replicate_block
 from graf.solvers import solve_max_bruteforce
 
 from conftest import random_matrix, random_permutation
@@ -169,18 +172,59 @@ class TestSampling:
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, SEED_MAX]
 
 
-def assert_raw_draws_match_numpy(n: int, seeds: list[int]) -> None:
-    """Each sampling pass of batched raw draws equals numpy's own PCG64,
-    built per seed, which shares no code with the sampler."""
+#: numpy's own PCG64, which shares no code with the sampler.
+NUMPY_PCG64 = np.random.PCG64
+
+
+@contextmanager
+def recorded_draws():
+    """Record the raw words of every ``random_raw`` call the sampler's
+    generator makes while the context is open, in call order."""
+    drawn = []
+
+    # The state setter takes only a state whose generator is named PCG64.
+    class PCG64(NUMPY_PCG64):
+        def random_raw(self, size=None, output=True):
+            drawn.append(super().random_raw(size, output))
+            return drawn[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "PCG64", PCG64)
+        yield drawn
+
+
+def assert_draws_match_numpy(n: int, seeds: list[int]) -> None:
+    """Each sampling pass draws the raw words of ``np.random.PCG64(seed)``
+    for its seeds and maps them to Gaussians by the documented transform
+    and ``ndtri``."""
+    ndtri = _scipy.ndtri()
     start = passes = 0
-    for raw in _raw_passes(n, _seed_array(seeds)):
-        chunk = seeds[start : start + len(raw)]
-        expected = [np.random.PCG64(seed).random_raw(n * n) for seed in chunk]
-        assert np.array_equal(raw, np.array(expected).reshape(len(chunk), n * n))
-        start += len(raw)
-        passes += 1
+    with recorded_draws() as drawn:
+        for matrices in _gaussian_passes(n, seeds):
+            chunk = seeds[start : start + len(matrices)]
+            raw = np.array([NUMPY_PCG64(seed).random_raw(n * n) for seed in chunk])
+            assert np.array_equal(np.array(drawn), raw)
+            drawn.clear()
+            uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            assert np.array_equal(matrices, ndtri(uniforms).reshape(len(chunk), n, n))
+            start += len(matrices)
+            passes += 1
     assert start == len(seeds)
     assert passes == -(-len(seeds) // sample_chunk_size(n))
+
+
+@contextmanager
+def counted_seed_words():
+    """Count the calls of ``field._seed_sequence_words`` while the context is open."""
+    calls = []
+
+    def counting(seeds):
+        calls.append(len(seeds))
+        return _seed_sequence_words(seeds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field, "_seed_sequence_words", counting)
+        yield calls
 
 
 class TestBatchedSeeding:
@@ -197,10 +241,9 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("n", [1, 5, 10, 20, 50, 100])
     def test_raw_draws_match_numpy(self, n, seeds):
-        # At n >= 5 the 4096 seeds span several sampling passes; at n = 100
-        # a pass holds 6 seeds, fewer than a batch.
-        assert sample_chunk_size(100) < _SEED_BATCH_MIN <= sample_chunk_size(50)
-        assert_raw_draws_match_numpy(n, seeds)
+        # From n = 5 on the 4096 seeds span several sampling passes; at
+        # n = 100 a pass holds 6 seeds.
+        assert_draws_match_numpy(n, seeds)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, SEED_MAX), max_size=40))
@@ -210,13 +253,36 @@ class TestBatchedSeeding:
         assert np.array_equal(words, np.array(expected).reshape(len(seeds), 4))
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(1, 60),
-        st.lists(st.integers(0, SEED_MAX), min_size=_SEED_BATCH_MIN - 2, max_size=40),
-    )
+    @given(st.integers(1, 200), st.lists(st.integers(0, SEED_MAX), max_size=40))
     def test_raw_draws_match_numpy_on_any_seeds(self, n, seeds):
-        # Passes of these sizes fall on both sides of the batch minimum.
-        assert_raw_draws_match_numpy(n, seeds)
+        # No seed, one seed, one pass or several, from 2048 matrices a
+        # pass (n = 5) to one (n = 200).
+        assert_draws_match_numpy(n, seeds)
+
+    @pytest.mark.parametrize("n, count", [(10, 1400), (200, 8)])
+    def test_seeds_hashed_once_per_call(self, n, count):
+        # 1400 seeds are 3 passes at n = 10; 8 seeds are 8 passes at n = 200.
+        assert sample_chunk_size(n) < count
+        seeds = montecarlo._child_seeds(n, 0, count)
+        for kernel in (replicate_block, sample_cost_entries):
+            with counted_seed_words() as calls:
+                kernel(n, seeds)
+            assert calls == [count], kernel.__name__
+
+    @pytest.mark.parametrize("bad", [-1, SEED_MAX + 1])
+    def test_bad_last_seed_raises_before_any_draw(self, bad, monkeypatch):
+        # At n = 200 each seed is a pass of its own: the bad seed is in
+        # the eighth pass, and nothing of the first seven may run.
+        def no_solve(*args):
+            raise AssertionError("a matrix was solved")
+
+        monkeypatch.setattr(montecarlo, "_lsa_columns", no_solve)
+        monkeypatch.setattr(montecarlo, "greedy_columns", no_solve)
+        seeds = [*range(7), bad]
+        for kernel in (replicate_block, sample_cost_entries):
+            with recorded_draws() as drawn, pytest.raises(ValueError, match="64-bit"):
+                kernel(200, seeds)
+            assert drawn == [], kernel.__name__
 
     @pytest.mark.parametrize("bad", [1.0, "1"])
     def test_rejects_non_integer_seeds(self, bad):

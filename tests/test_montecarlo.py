@@ -577,6 +577,29 @@ class TestTaskPool:
             pass
         assert fake_pool.sizes == sizes
 
+    def test_phase_counts_the_tasks_of_every_study(self, fake_pool):
+        # One task, then ten: the phase has more tasks than the 2 cores.
+        with montecarlo._task_pool(8, [ONE_MATRIX, TEN_TASKS]):
+            pass
+        assert fake_pool.sizes == [2]
+
+    def test_sizing_cuts_one_block_of_a_huge_study(self, fake_pool, monkeypatch):
+        # 2**40 rows at n = 10 are 2**28 blocks of 7 row tasks each; the
+        # 2 cores are reached within the first block.
+        blocks = []
+
+        def counted_blocks(study):
+            for block in cut(study):
+                blocks.append(len(block))
+                yield block
+
+        cut = montecarlo._block_tasks
+        monkeypatch.setattr(montecarlo, "_block_tasks", counted_blocks)
+        with montecarlo._task_pool(8, [montecarlo._row_study(10, 0, 2**40)]):
+            pass
+        assert fake_pool.sizes == [2]
+        assert blocks == [7]
+
 
 class TestTasks:
     """One rule cuts the pool tasks of row studies and of near-max counting."""
@@ -596,7 +619,6 @@ class TestTasks:
         block_size = montecarlo.BLOCK_REPLICATIONS
         studies = [(k + 2, 7 * k, count, most, f"arg{k}") for k, (count, most) in enumerate(shapes)]
         cut = [list(montecarlo._block_tasks(study)) for study in studies]
-        assert montecarlo._task_count(studies) == sum(len(b) for blocks in cut for b in blocks)
         for (n, root, count, most, arg), blocks in zip(studies, cut):
             tasks = [task for block in blocks for task in block]
             assert {(t[0], t[1], t[4]) for t in tasks} == {(n, root, arg)}
@@ -610,7 +632,6 @@ class TestTasks:
                 assert block[0][2] == block_start and sum(lengths) == size
                 assert len(lengths) == -(-size // most)
                 assert max(lengths) <= most and max(lengths) - min(lengths) <= 1
-                assert montecarlo._task_count([(n, root, size, most, arg)]) == len(lengths)
 
 
 class TestRowTasks:
